@@ -5,92 +5,21 @@ an iterative radix-2 fast path), spectrum and note analysis,
 frequency-domain equalization, sine synthesis, and WAV file I/O.
 """
 
-from .transform import (
-    EPSILON,
-    DEFAULT_NAIVE_LIMIT,
-    FFT_LIMIT,
-    DspError,
-    Signal,
-    Spectrum,
-    DftMatrix,
-    omega,
-    dft_matrix,
-    dft_naive,
-    idft_naive,
-    fft,
-    ifft,
-    next_pow2,
-    pad_to_pow2,
-)
-from .analysis import (
-    A4_HZ,
-    NOTE_NAMES,
-    MagnitudeSpectrum,
-    Peak,
-    NoteMatch,
-    magnitude_spectrum,
-    find_peaks,
-    identify_note,
-    analyze,
-    write_spectrum_csv,
-)
-from .equalizer import (
-    Band,
-    GainProfile,
-    GainVector,
-    PRESET_NAMES,
-    build_gain_vector,
-    equalize,
-    preset,
-    parse_profile,
-    load_profile,
-)
-from .wavio import WavMeta, WavFormatError, read_wav, write_wav, downmix_mono
-from .synth import sine, mix
+from . import analysis, equalizer, synth, transform, wavio
+from .transform import *  # noqa: F403
+from .analysis import *  # noqa: F403
+from .equalizer import *  # noqa: F403
+from .wavio import *  # noqa: F403
+from .synth import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "EPSILON",
-    "DEFAULT_NAIVE_LIMIT",
-    "FFT_LIMIT",
-    "DspError",
-    "Signal",
-    "Spectrum",
-    "DftMatrix",
-    "omega",
-    "dft_matrix",
-    "dft_naive",
-    "idft_naive",
-    "fft",
-    "ifft",
-    "next_pow2",
-    "pad_to_pow2",
-    "A4_HZ",
-    "NOTE_NAMES",
-    "MagnitudeSpectrum",
-    "Peak",
-    "NoteMatch",
-    "magnitude_spectrum",
-    "find_peaks",
-    "identify_note",
-    "analyze",
-    "write_spectrum_csv",
-    "Band",
-    "GainProfile",
-    "GainVector",
-    "PRESET_NAMES",
-    "build_gain_vector",
-    "equalize",
-    "preset",
-    "parse_profile",
-    "load_profile",
-    "WavMeta",
-    "WavFormatError",
-    "read_wav",
-    "write_wav",
-    "downmix_mono",
-    "sine",
-    "mix",
+    *transform.__all__,
+    *analysis.__all__,
+    *equalizer.__all__,
+    *wavio.__all__,
+    *synth.__all__,
     "__version__",
 ]

@@ -6,6 +6,7 @@ input, so everything here works on bins 0 through n/2 inclusive.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -95,6 +96,12 @@ def find_peaks(
     Candidates closer than min_separation_hz to an already-kept larger
     peak are dropped (ties keep the lower bin). The result is sorted by
     ascending frequency and is deterministic for a given input.
+
+    Kept bins are held in bin order and each candidate is tested only
+    against its nearest kept neighbour on either side. Frequencies are
+    monotone in the bin index, and so are their rounded differences, so
+    a kept bin further out is never closer than the nearest one on its
+    side: the result equals testing every kept peak.
     """
     if not 0.0 < relative_threshold <= 1.0:
         raise DspError(
@@ -103,30 +110,29 @@ def find_peaks(
     if min_separation_hz < 0.0:
         raise DspError(f"minimum separation must be >= 0, got {min_separation_hz}")
     values = mag.magnitudes
-    count = values.size
     ceiling = float(values.max(initial=0.0))
     if ceiling <= 0.0:
         return []
     floor = relative_threshold * ceiling
 
-    candidates: list[tuple[float, int]] = []
-    for k in range(count):
-        if values[k] < floor:
-            continue
-        left_ok = k == 0 or values[k] > values[k - 1]
-        right_ok = k == count - 1 or values[k] > values[k + 1]
-        if left_ok and right_ok:
-            candidates.append((-float(values[k]), k))
-    candidates.sort()
+    # Edge bins have no neighbour on their open side and count as maxima there.
+    is_candidate = ~(values < floor)
+    is_candidate[1:] &= values[1:] > values[:-1]
+    is_candidate[:-1] &= values[:-1] > values[1:]
+    index = np.flatnonzero(is_candidate)
+    order = index[np.lexsort((index, -values[index]))]
 
     kept: list[int] = []
-    for _, k in candidates:
-        freq = mag.frequencies[k]
-        if all(
-            abs(freq - mag.frequencies[other]) >= min_separation_hz for other in kept
-        ):
-            kept.append(k)
-    kept.sort()
+    kept_freqs: list[float] = []
+    for k, freq in zip(order.tolist(), mag.frequencies[order].tolist()):
+        slot = bisect.bisect_left(kept, k)
+        # "not >=" so that a NaN distance rejects the candidate
+        if slot > 0 and not abs(freq - kept_freqs[slot - 1]) >= min_separation_hz:
+            continue
+        if slot < len(kept) and not abs(freq - kept_freqs[slot]) >= min_separation_hz:
+            continue
+        kept.insert(slot, k)
+        kept_freqs.insert(slot, freq)
     return [
         Peak(
             bin_index=k,
@@ -181,7 +187,9 @@ def write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin", "frequency_hz", "magnitude"])
-        for k in range(len(mag)):
-            writer.writerow(
-                [k, f"{mag.frequencies[k]:.8g}", f"{mag.magnitudes[k]:.8g}"]
+        writer.writerows(
+            [k, f"{freq:.8g}", f"{magnitude:.8g}"]
+            for k, (freq, magnitude) in enumerate(
+                zip(mag.frequencies.tolist(), mag.magnitudes.tolist())
             )
+        )

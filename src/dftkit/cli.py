@@ -52,6 +52,10 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0.0 < args.threshold <= 1.0:
+        raise UsageError(f"--threshold must be in (0, 1], got {args.threshold}")
+    if not args.separation_hz >= 0.0:
+        raise UsageError(f"--separation-hz must be >= 0, got {args.separation_hz}")
     signal, meta = read_wav(args.input)
     prepared = signal if args.no_pad else pad_to_pow2(signal)
     mag = magnitude_spectrum(fft(prepared))

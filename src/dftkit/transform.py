@@ -5,6 +5,9 @@ prefactor, the inverse carries 1/n. The naive O(n^2) paths walk the
 transform matrix row by row so the full matrix is never materialized
 unless asked for; the fast paths are an iterative radix-2
 decimation-in-time butterfly over bit-reversed input.
+
+The permutation is built by doubling and every stage reads its twiddles
+from one table of n/2 roots, with the same bits as per-stage twiddles.
 """
 
 from __future__ import annotations
@@ -240,13 +243,14 @@ def _require_power_of_two(n: int) -> None:
 
 
 def _bit_reversal(n: int) -> np.ndarray:
-    """Permutation indices that put a power-of-two range in bit-reversed order."""
-    bits = n.bit_length() - 1
-    forward = np.arange(n, dtype=np.int64)
-    reversed_idx = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        reversed_idx = (reversed_idx << 1) | (forward & 1)
-        forward >>= 1
+    """Permutation indices that put a power-of-two range in bit-reversed order.
+
+    Built by doubling: reversing m+1 bits of i puts the top bit of i at
+    the bottom, so the order for 2m is 2*rev followed by 2*rev + 1.
+    """
+    reversed_idx = np.zeros(1, dtype=np.int64)
+    while reversed_idx.size < n:
+        reversed_idx = np.concatenate((2 * reversed_idx, 2 * reversed_idx + 1))
     return reversed_idx
 
 
@@ -256,20 +260,25 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
     Butterflies are evaluated stage by stage on the bit-reversed input;
     each stage is a fixed sequence of vectorized operations, so the
     summation order (and hence the output bits) is deterministic.
+
+    Twiddles come from one table e^(-2*pi*i*m/n), m < n/2, of which a
+    stage of width size reads every (n/size)-th entry. Its angle
+    2*pi*(m*n/size)/n differs from the per-stage 2*pi*m/size only by
+    power-of-two factors, which scale a float exactly, so the bits agree.
+    Butterflies write the difference, then the sum, in place: the same
+    two roundings as going through temporaries.
     """
     n = values.size
     data = values[_bit_reversal(n)]
+    table = np.exp(-2j * np.pi * np.arange(n // 2) / n)
     size = 2
     while size <= n:
         half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
         view = data.reshape(n // size, size)
         upper = view[:, :half]
-        lower = view[:, half:] * twiddle
-        top = upper + lower
-        bottom = upper - lower
-        view[:, :half] = top
-        view[:, half:] = bottom
+        lower = view[:, half:] * table[:: n // size]
+        np.subtract(upper, lower, out=view[:, half:])
+        np.add(upper, lower, out=upper)
         size *= 2
     return data
 

@@ -162,6 +162,12 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
         raise DspError(
             f"unsupported bit depth {bits_per_sample} (use 16 for PCM or 32 for float)"
         )
+    channels = 1
+    rate = signal.sample_rate
+    block_align = channels * bits_per_sample // 8
+    byte_rate = rate * block_align
+    if byte_rate > 0xFFFFFFFF:  # the header stores it as a uint32
+        raise DspError(f"sample rate {rate} Hz is too high for a {bits_per_sample}-bit WAV")
     samples = signal.samples
     if float(np.max(np.abs(samples))) > 1.0:
         raise DspError("samples exceed [-1, 1]; clamp or normalize before writing")
@@ -174,10 +180,6 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
         payload = samples.astype("<f4").tobytes()
         audio_format, encoding = _IEEE_FLOAT, "float"
 
-    channels = 1
-    rate = signal.sample_rate
-    block_align = channels * bits_per_sample // 8
-    byte_rate = rate * block_align
     frames = len(signal)
 
     if audio_format == _PCM:

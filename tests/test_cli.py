@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,35 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "no peaks" in stdout
 
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
+    def test_threshold_outside_unit_interval_is_a_usage_error(
+        self, tmp_path, capsys, value
+    ):
+        # the input does not exist: the flag is rejected before the file is read
+        code, _, stderr = run(
+            capsys, "analyze", str(tmp_path / "nope.wav"), "--threshold", value
+        )
+        assert code == 2
+        assert "--threshold" in stderr
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_negative_or_nan_separation_is_a_usage_error(
+        self, tmp_path, capsys, value
+    ):
+        code, _, stderr = run(
+            capsys, "analyze", str(tmp_path / "nope.wav"), "--separation-hz", value
+        )
+        assert code == 2
+        assert "--separation-hz" in stderr
+
+    def test_threshold_one_and_zero_separation_are_accepted(self, tmp_path, capsys):
+        wav = tmp_path / "quiet.wav"
+        write_wav(Signal(np.zeros(256), 8000), wav)
+        code, _, _ = run(
+            capsys, "analyze", str(wav), "--threshold", "1", "--separation-hz", "0"
+        )
+        assert code == 0
+
 
 # ---------------------------------------------------------------------------
 # equalize
@@ -148,6 +179,26 @@ class TestEqualizeCommand:
         assert code == 0
         _, meta = read_wav(out)
         assert meta.bits_per_sample == 32
+
+    def test_rate_too_high_for_the_output_header_is_a_runtime_error(
+        self, tmp_path, capsys
+    ):
+        # A float-32 input at 2**30 Hz reads fine, but its byte rate (2**32)
+        # does not fit the header field the writer must fill in.
+        wav = tmp_path / "fast.wav"
+        fmt = struct.pack("<HHIIHHH", 3, 1, 2**30, 0, 4, 32, 0)
+        data = np.linspace(-0.5, 0.5, 64).astype("<f4").tobytes()
+        body = b"WAVE" + b"".join(
+            struct.pack("<4sI", chunk_id, len(chunk)) + chunk
+            for chunk_id, chunk in ((b"fmt ", fmt), (b"data", data))
+        )
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        code, _, stderr = run(
+            capsys, "equalize", str(wav), str(tmp_path / "o.wav"),
+            "--preset", "identity",
+        )
+        assert code == 1
+        assert "too high" in stderr
 
     def test_requires_a_gain_source(self, tmp_path, capsys):
         wav = self.make_input(tmp_path)

@@ -106,6 +106,15 @@ class TestEncoding:
         with pytest.raises(DspError, match="bit depth"):
             write_wav(Signal([0.0], 8000), tmp_path / "x.wav", bits_per_sample=24)
 
+    def test_rejects_a_byte_rate_past_32_bits(self, tmp_path):
+        path = tmp_path / "x.wav"
+        # 2**30 Hz fits in 16-bit PCM (byte rate 2**31) but not in float-32 (2**32)
+        write_wav(Signal([0.5], 2**30), path, bits_per_sample=16)
+        with pytest.raises(DspError, match="too high"):
+            write_wav(Signal([0.5], 2**30), path, bits_per_sample=32)
+        with pytest.raises(DspError, match="too high"):
+            write_wav(Signal([0.5], 2**32), path, bits_per_sample=16)
+
 
 # ---------------------------------------------------------------------------
 # Multichannel input
