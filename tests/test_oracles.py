@@ -257,7 +257,7 @@ def profiles_on_grid(draw):
     bin_freqs = [k * rate / n for k in range(n // 2 + 1)]
     edge = st.one_of(
         st.sampled_from(bin_freqs),
-        st.floats(min_value=0.0, max_value=rate, allow_nan=False),
+        st.floats(min_value=0.0, max_value=float(rate), allow_nan=False),
     )
     edges = sorted(set(draw(st.lists(edge, min_size=0, max_size=8))))
     if draw(st.booleans()):
