@@ -126,13 +126,11 @@ def find_peaks(
     kept_freqs: list[float] = []
     for k, freq in zip(order.tolist(), mag.frequencies[order].tolist()):
         slot = bisect.bisect_left(kept, k)
-        # "not >=" so that a NaN distance rejects the candidate
-        if slot > 0 and not abs(freq - kept_freqs[slot - 1]) >= min_separation_hz:
-            continue
-        if slot < len(kept) and not abs(freq - kept_freqs[slot]) >= min_separation_hz:
-            continue
-        kept.insert(slot, k)
-        kept_freqs.insert(slot, freq)
+        if (slot == 0 or abs(freq - kept_freqs[slot - 1]) >= min_separation_hz) and (
+            slot == len(kept) or abs(freq - kept_freqs[slot]) >= min_separation_hz
+        ):
+            kept.insert(slot, k)
+            kept_freqs.insert(slot, freq)
     return [
         Peak(
             bin_index=k,
@@ -187,9 +185,5 @@ def write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin", "frequency_hz", "magnitude"])
-        writer.writerows(
-            [k, f"{freq:.8g}", f"{magnitude:.8g}"]
-            for k, (freq, magnitude) in enumerate(
-                zip(mag.frequencies.tolist(), mag.magnitudes.tolist())
-            )
-        )
+        rows = zip(range(len(mag)), mag.frequencies.tolist(), mag.magnitudes.tolist())
+        writer.writerows([k, f"{freq:.8g}", f"{m:.8g}"] for k, freq, m in rows)

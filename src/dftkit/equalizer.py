@@ -8,6 +8,7 @@ get mirrored gains so the output stays real.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -96,14 +97,11 @@ def build_gain_vector(profile: GainProfile, n: int, sample_rate: int) -> GainVec
     if sample_rate < 1:
         raise DspError(f"sample rate must be >= 1, got {sample_rate}")
     half = n // 2 + 1
-    if half * sample_rate < 2**53:
-        # the products are exact, so the one division rounds as k * rate / n does
-        freqs = np.arange(half) * sample_rate / n
-    else:
-        freqs = np.array([k * sample_rate / n for k in range(half)])
     gains = np.ones(n, dtype=np.float64)
-    for band in profile.bands:  # freqs ascend, so each band is one slice
-        low, high = np.searchsorted(freqs, (band.low_hz, band.high_hz))
+    at = lambda k: k * sample_rate / n  # noqa: E731
+    for band in profile.bands:  # at(k) ascends in k, so a band is one slice
+        low = bisect.bisect_left(range(half), band.low_hz, key=at)
+        high = bisect.bisect_left(range(half), band.high_hz, key=at)
         gains[low:high] = band.gain
     if n > 2:
         gains[half:] = gains[1 : (n - 1) // 2 + 1][::-1]
