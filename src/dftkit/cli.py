@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import find_peaks, identify_note, magnitude_spectrum, write_spectrum_csv
 from .equalizer import PRESET_NAMES, equalize, load_profile, preset
 from .synth import mix, sine
-from .transform import DspError, Signal, dft_naive, fft, pad_to_pow2
+from .transform import FFT_LIMIT, DspError, Signal, dft_naive, fft, pad_to_pow2
 from .wavio import read_wav, write_wav
 
 __all__ = ["main", "run_bench", "BenchRow", "UsageError"]
@@ -104,6 +104,11 @@ def cmd_equalize(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     frequencies = _parse_floats(args.freqs, "--freqs")
+    if args.duration * args.rate + 0.5 >= FFT_LIMIT + 1:  # sine's count would pass FFT_LIMIT
+        raise UsageError(
+            f"--duration {args.duration:g} s at --rate {args.rate} Hz is more than "
+            f"{FFT_LIMIT} samples, the longest signal dftkit can transform"
+        )
     tones = [
         sine(freq, duration_s=args.duration, sample_rate=args.rate)
         for freq in frequencies

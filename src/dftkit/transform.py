@@ -8,6 +8,18 @@ decimation-in-time butterfly over bit-reversed input.
 
 The permutation is built by doubling and every stage reads its twiddles
 from one table of n/2 roots, with the same bits as per-stage twiddles.
+
+Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
+m = n/2, the samples are packed as m complex points z[j] = x[2j] +
+i*x[2j+1], whose m-point transform Z holds the transforms of the even
+and odd samples, E and O:
+
+    E[k] = (Z[k] + conj(Z[m-k])) / 2,   O[k] = (Z[k] - conj(Z[m-k])) / 2i
+    X[k] = E[k] + w^k * O[k],           w = e^(-2*pi*i/n)
+
+Since E and O are Hermitian and w^(m-k) = -conj(w^k), one twiddle gives
+two bins: X[m-k] = conj(E[k] - w^k * O[k]), so only k <= n/4 is
+computed. The inverse runs the same identities backwards.
 """
 
 from __future__ import annotations
@@ -283,26 +295,99 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
     return data
 
 
-def _ifft_array(values: np.ndarray) -> np.ndarray:
-    """Inverse FFT via the conjugation identity: ifft(X) = conj(fft(conj(X))) / n."""
-    return np.conj(_fft_array(np.conj(values))) / values.size
+def _split_twiddles(n: int) -> np.ndarray:
+    """w^k = e^(-2*pi*i*k/n) for k = 1 .. n/4, from one cosine table.
+
+    sin(2*pi*k/n) = cos(2*pi*(n/4 - k)/n), so the sines are the cosines
+    read backwards.
+    """
+    cosines = np.cos(2.0 * np.pi / n * np.arange(n // 4 + 1))
+    twiddles = np.empty(n // 4, dtype=np.complex128)
+    twiddles.real = cosines[1:]
+    twiddles.imag = -cosines[-2::-1]
+    return twiddles
+
+
+def _rfft_array(samples: np.ndarray) -> np.ndarray:
+    """All n bins of a real power-of-two signal from one n/2-point FFT.
+
+    Bins 0 .. n/2 come from splitting the packed transform (module
+    docstring); bins 0 and n/2 are real sums, and the upper half is the
+    exact conjugate of the lower, so the result is Hermitian bit for bit.
+    """
+    n = samples.size
+    if n == 1:
+        return samples.astype(np.complex128)
+    m, h = n // 2, n // 4
+    packed = _fft_array(np.ascontiguousarray(samples).view(np.complex128))
+    bins = np.empty(n, dtype=np.complex128)
+    bins[0] = packed[0].real + packed[0].imag
+    bins[m] = packed[0].real - packed[0].imag
+    ahead = packed[1 : h + 1]  # Z[k], k = 1 .. n/4
+    behind = np.conj(packed[m - h :][::-1])  # conj(Z[m - k])
+    even = (ahead + behind) * 0.5
+    odd = np.subtract(ahead, behind, out=behind)
+    odd *= _split_twiddles(n) * -0.5j  # w^k * O[k]
+    np.conjugate(even - odd, out=bins[m - h : m][::-1])
+    np.add(even, odd, out=bins[1 : h + 1])
+    np.conjugate(bins[1:m][::-1], out=bins[m + 1 :])
+    return bins
+
+
+def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
+    """Real samples of an n-point signal from its bins 0 .. n/2.
+
+    The split identities run backwards: for k <= n/4, E[k] and O[k] come
+    from X[k] and conj(X[m-k]), Z[k] = E[k] + i*O[k] and Z[m-k] =
+    conj(E[k] - i*O[k]). One n/2-point inverse of Z, taken as
+    conj(fft(conj(Z))) with its 1/m and the split's 1/2 applied
+    beforehand as one exact 1/n, gives the
+    even samples as its real part and the odd ones as its imaginary
+    part, so the interleaved output is a float view of it. The
+    imaginary parts of bins 0 and n/2 are ignored, and the result is
+    real by construction.
+    """
+    if n == 1:
+        return half.real[:1].copy()
+    m, h = n // 2, n // 4
+    first, last = half[0].real, half[m].real
+    packed = np.empty(m, dtype=np.complex128)  # conj(Z) / m
+    packed[0] = complex((first + last) / n, (last - first) / n)
+    ahead = half[1 : h + 1]  # X[k], k = 1 .. n/4
+    behind = np.conj(half[m - h : m][::-1])  # conj(X[m - k])
+    even = (ahead + behind) / n
+    odd = np.subtract(ahead, behind, out=behind)
+    odd *= np.conj(_split_twiddles(n)) * (1j / n)  # i * O[k]
+    np.subtract(even, odd, out=packed[m - h :][::-1])
+    np.conjugate(even + odd, out=packed[1 : h + 1])
+    time = _fft_array(packed)
+    np.negative(time.imag, out=time.imag)
+    return time.view(np.float64)
+
+
+def _require_fast_length(n: int, what: str) -> None:
+    _require_power_of_two(n)
+    if n > FFT_LIMIT:
+        raise DspError(f"{what} length {n} exceeds the fast-path limit {FFT_LIMIT}")
 
 
 def fft(signal: Signal) -> Spectrum:
-    """Fast forward transform. Same contract as dft_naive, power-of-two lengths only."""
-    n = len(signal)
-    _require_power_of_two(n)
-    if n > FFT_LIMIT:
-        raise DspError(f"signal length {n} exceeds the fast-path limit {FFT_LIMIT}")
-    bins = _fft_array(signal.samples.astype(np.complex128))
-    return Spectrum(bins=bins, sample_rate=signal.sample_rate)
+    """Fast forward transform. Same contract as dft_naive, power-of-two lengths only.
+
+    The signal is real, so it goes through one n/2-point FFT of packed
+    sample pairs (see _rfft_array); the spectrum is exactly Hermitian.
+    """
+    _require_fast_length(len(signal), "signal")
+    return Spectrum(bins=_rfft_array(signal.samples), sample_rate=signal.sample_rate)
 
 
 def ifft(spectrum: Spectrum) -> Signal:
-    """Fast inverse transform. Same contract as idft_naive, power-of-two lengths only."""
+    """Fast inverse transform. Same contract as idft_naive, power-of-two lengths only.
+
+    Any complex spectrum is accepted, so this takes the full n-point
+    inverse, conj(fft(conj(X))) / n, and rejects a result that is not real.
+    """
     n = len(spectrum)
-    _require_power_of_two(n)
-    if n > FFT_LIMIT:
-        raise DspError(f"spectrum length {n} exceeds the fast-path limit {FFT_LIMIT}")
-    time = _ifft_array(spectrum.bins)
+    _require_fast_length(n, "spectrum")
+    time = np.conj(_fft_array(np.conj(spectrum.bins))) / n
     return Signal(_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)

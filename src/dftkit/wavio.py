@@ -133,7 +133,8 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
         samples = raw / 32768.0
         encoding = "pcm"
     else:
-        raw = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a NaN payload is rejected just below
+            raw = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(raw)):
             raise WavFormatError("float data chunk contains non-finite samples")
         samples = np.clip(raw, -1.0, 1.0)

@@ -1,11 +1,13 @@
 """Unit tests for the command-line interface."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dftkit import Signal, read_wav, write_wav
+import dftkit.cli
+from dftkit import FFT_LIMIT, Signal, read_wav, write_wav
 from dftkit.cli import main, run_bench
 
 
@@ -59,6 +61,40 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "Nyquist" in stderr
+
+    def test_duration_past_the_fft_limit_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sine(*args, **kwargs):
+            raise AssertionError("sine was called")
+
+        monkeypatch.setattr(dftkit.cli, "sine", no_sine)
+        tracemalloc.start()
+        try:
+            code = main(
+                ["synth", str(tmp_path / "x.wav"), "--freqs", "440", "--duration", "1e12"]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert str(FFT_LIMIT) in capsys.readouterr().err
+        assert not (tmp_path / "x.wav").exists()
+
+    def test_length_bound_is_the_rounded_sample_count(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def short_sine(freq, duration_s, sample_rate):
+            calls.append(duration_s * sample_rate)
+            return Signal(np.zeros(4), sample_rate)
+
+        monkeypatch.setattr(dftkit.cli, "sine", short_sine)
+        argv = ["synth", str(tmp_path / "x.wav"), "--freqs", "0.25", "--rate", "2"]
+        # 2**24 + 0.49 rounds to exactly FFT_LIMIT samples; 2**24 + 0.5 rounds past it
+        assert main(argv + ["--duration", str((FFT_LIMIT + 0.49) / 2)]) == 0
+        assert main(argv + ["--duration", str((FFT_LIMIT + 0.5) / 2)]) == 2
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +268,18 @@ class TestEqualizeCommand:
         )
         assert code == 1
         assert "line 1" in stderr
+
+    def test_profile_that_is_not_utf8_is_a_runtime_error(self, tmp_path, capsys):
+        wav = self.make_input(tmp_path)
+        profile = tmp_path / "latin1.profile"
+        profile.write_bytes(b"0,160,0.5\n# caf\xe9 \xff\n")
+        code, _, stderr = run(
+            capsys, "equalize", str(wav), str(tmp_path / "o.wav"),
+            "--profile", str(profile),
+        )
+        assert code == 1
+        assert str(profile) in stderr
+        assert "UTF-8" in stderr
 
 
 # ---------------------------------------------------------------------------

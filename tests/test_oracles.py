@@ -1,8 +1,10 @@
-"""Bit-for-bit checks of the vectorized hot paths against their loop versions.
+"""Checks of the rewritten hot paths against the versions they replaced.
 
-The oracles below are the earlier per-element implementations, copied
-verbatim apart from their names. Every comparison is on raw bytes, so a
-changed signed zero or a last-bit rounding difference counts as a failure.
+The oracles below are the earlier implementations, copied verbatim apart
+from their names. Where the arithmetic is unchanged every comparison is
+on raw bytes, so a changed signed zero or a last-bit rounding difference
+counts as a failure. The real-input transform sums in a different order,
+so it is held to tolerances fixed from float64 rounding instead.
 """
 
 import csv
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dftkit import (
+    EPSILON,
+    FFT_LIMIT,
     Band,
     DspError,
     GainProfile,
@@ -21,13 +25,22 @@ from dftkit import (
     MagnitudeSpectrum,
     Peak,
     Signal,
+    Spectrum,
     build_gain_vector,
+    equalize,
     fft,
     find_peaks,
     magnitude_spectrum,
+    pad_to_pow2,
+    preset,
     write_spectrum_csv,
 )
-from dftkit.transform import _bit_reversal, _fft_array
+from dftkit.transform import (
+    _bit_reversal,
+    _fft_array,
+    _ifft_array,
+    _require_power_of_two,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop implementations these paths replaced
@@ -122,6 +135,37 @@ def oracle_fft_array(values: np.ndarray) -> np.ndarray:
         view[:, half:] = bottom
         size *= 2
     return data
+
+
+def oracle_ifft_array(values: np.ndarray) -> np.ndarray:
+    return np.conj(_fft_array(np.conj(values))) / values.size
+
+
+def oracle_fft(signal: Signal) -> Spectrum:
+    n = len(signal)
+    _require_power_of_two(n)
+    if n > FFT_LIMIT:
+        raise DspError(f"signal length {n} exceeds the fast-path limit {FFT_LIMIT}")
+    bins = _fft_array(signal.samples.astype(np.complex128))
+    return Spectrum(bins=bins, sample_rate=signal.sample_rate)
+
+
+def oracle_equalize(signal: Signal, profile: GainProfile) -> Signal:
+    original_n = len(signal)
+    padded = pad_to_pow2(signal)
+    spectrum = oracle_fft(padded)
+    gains = build_gain_vector(profile, len(padded), signal.sample_rate)
+    shaped = spectrum.bins * gains.values
+
+    time = oracle_ifft_array(shaped)
+    reference = float(np.max(np.abs(time.real))) if time.size else 0.0
+    residue = float(np.max(np.abs(time.imag)))
+    if residue > EPSILON * max(reference, 1.0):
+        raise DspError(
+            f"equalized spectrum lost Hermitian symmetry (residue {residue:.3e})"
+        )
+    samples = np.clip(time.real[:original_n], -1.0, 1.0)
+    return Signal(samples, signal.sample_rate)
 
 
 def oracle_write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
@@ -350,3 +394,113 @@ def test_spectrum_csv_matches_the_loop_version(tmp_path_factory, values, rate):
     oracle_write_spectrum_csv(mag, folder / "expected.csv")
     write_spectrum_csv(mag, folder / "actual.csv")
     assert (folder / "actual.csv").read_bytes() == (folder / "expected.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Real-input transform: fft, and the half-spectrum inverse behind equalize
+# ---------------------------------------------------------------------------
+
+# Both bounds are fixed from float64 rounding (about 1e-16 per operation,
+# times a few log2(n) stages), not from observed gaps.
+FFT_TOLERANCE = 1e-12
+EQUALIZE_TOLERANCE = 1e-12
+
+REAL_KINDS = ["uniform", "signed-zeros", "small-integers", "impulse", "tone", "wide"]
+
+
+def real_input(rng, n, kind):
+    """n real samples; all kinds but "wide" stay inside [-1, 1]."""
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, n)
+    if kind == "signed-zeros":
+        return rng.choice([0.0, -0.0], size=n)
+    if kind == "small-integers":
+        return rng.integers(-1, 2, size=n).astype(np.float64)
+    if kind == "impulse":
+        values = np.zeros(n)
+        values[rng.integers(n)] = rng.choice([-1.0, 1.0])
+        return values
+    if kind == "tone":
+        cycles = rng.integers(0, n // 2 + 1)
+        return np.cos(2.0 * np.pi * cycles * np.arange(n) / n + rng.uniform(0.0, 6.3))
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9)
+
+
+EXPONENTS = list(range(14))  # n = 2**0 .. 2**13
+
+
+@st.composite
+def profiles(draw):
+    if draw(st.booleans()):
+        return preset(draw(st.sampled_from(["identity", "treble", "bass-boost"])))
+    edges = sorted(
+        draw(st.sets(st.floats(min_value=0.0, max_value=30000.0), min_size=2, max_size=8))
+    )
+    gains = draw(st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=len(edges)))
+    return GainProfile(bands=tuple(Band(lo, hi, g) for lo, hi, g in zip(edges, edges[1:], gains)))
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.sampled_from(REAL_KINDS))
+def test_fft_matches_the_complex_path(exponent, seed, kind):
+    signal = Signal(real_input(np.random.default_rng(seed), 1 << exponent, kind), 8000)
+    expected = oracle_fft(signal).bins
+    actual = fft(signal).bins
+    assert actual.shape == expected.shape
+    bound = FFT_TOLERANCE * max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= bound
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.sampled_from(REAL_KINDS))
+def test_fft_is_exactly_hermitian(exponent, seed, kind):
+    n = 1 << exponent
+    bins = fft(Signal(real_input(np.random.default_rng(seed), n, kind), 8000)).bins
+    assert bins[0].imag == 0.0
+    assert bins[n // 2].imag == 0.0
+    # bins[n - k] is conj(bins[k]) bit for bit; k = n/2 is its own partner (real, above)
+    k = np.arange(1, n)
+    k = k[k != n // 2]
+    assert bins[n - k].tobytes() == np.conj(bins[k]).tobytes()
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(REAL_KINDS),
+    gain_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_half_spectrum_inverse_matches_the_complex_inverse(exponent, seed, kind, gain_seed):
+    # any Hermitian spectrum: a real signal's transform with real, mirrored gains
+    n = 1 << exponent
+    full = oracle_fft(Signal(real_input(np.random.default_rng(seed), n, kind), 8000)).bins
+    gains = np.random.default_rng(gain_seed).uniform(0.0, 4.0, n // 2 + 1)
+    full *= np.concatenate((gains, gains[1 : (n + 1) // 2][::-1]))
+    expected = oracle_ifft_array(full).real
+    actual = _ifft_array(full[: n // 2 + 1], n)
+    assert actual.dtype == np.float64 and actual.shape == (n,)
+    bound = FFT_TOLERANCE * max(1.0, float(np.max(np.abs(expected))))
+    assert float(np.max(np.abs(actual - expected))) <= bound
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS)
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from([kind for kind in REAL_KINDS if kind != "wide"]),
+    profile=profiles(),
+    rate=RATES,
+    data=st.data(),
+)
+def test_equalize_matches_the_complex_path(exponent, seed, kind, profile, rate, data):
+    n = 1 << exponent
+    length = data.draw(st.integers(min_value=n // 2 + 1, max_value=n))  # pads to n
+    signal = Signal(real_input(np.random.default_rng(seed), length, kind), rate)
+    expected = oracle_equalize(signal, profile)
+    actual = equalize(signal, profile)
+    assert len(actual) == len(expected) == length
+    assert actual.sample_rate == expected.sample_rate
+    assert float(np.max(np.abs(actual.samples - expected.samples))) <= EQUALIZE_TOLERANCE

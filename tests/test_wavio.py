@@ -1,9 +1,12 @@
 """Unit tests for WAV encoding, decoding, and malformed-file handling."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dftkit import (
     DspError,
@@ -289,3 +292,78 @@ class TestMalformedFiles:
         )
         with pytest.raises(WavFormatError, match="non-finite"):
             read_wav(path)
+
+    def test_signalling_nan_float_data_warns_nothing(self, tmp_path):
+        path = tmp_path / "snan.wav"
+        payload = struct.pack("<II", 0x3F000000, 0x7F800001)  # 0.5, then a signalling NaN
+        path.write_bytes(
+            build_wav([(b"fmt ", pcm_fmt(bits=32, code=3)), (b"data", payload)])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WavFormatError, match="non-finite"):
+                read_wav(path)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any bytes give a signal or WavFormatError, nothing else
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def valid_wavs(draw):
+    """A small, valid PCM-16 or float-32 file of at most 256 frames."""
+    channels = draw(st.sampled_from([1, 2]))
+    frames = draw(st.integers(min_value=1, max_value=256))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        fmt = pcm_fmt(channels=channels)
+        payload = pcm_data(rng.integers(-32768, 32768, frames * channels))
+    else:
+        fmt = pcm_fmt(channels=channels, bits=32, code=3)
+        payload = rng.uniform(-1.5, 1.5, frames * channels).astype("<f4").tobytes()
+    return build_wav([(b"fmt ", fmt), (b"data", payload)])
+
+
+# Positions are taken modulo the file length; half of them land in the
+# 44-byte header, where a single byte decides the most.
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["overwrite", "delete", "insert", "word"]),
+        st.one_of(st.integers(min_value=0, max_value=47), st.integers(min_value=0, max_value=4096)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def mutate(blob, mutations):
+    data = bytearray(blob)
+    for op, position, value in mutations:
+        at = position % (len(data) + 1)
+        if op == "overwrite" and at < len(data):
+            data[at] = value & 0xFF
+        elif op == "delete":
+            del data[at : at + 1 + value % 4]
+        elif op == "insert":
+            data[at:at] = value.to_bytes(4, "little")[: 1 + value % 4]
+        elif op == "word":  # a whole little-endian size, rate or code field
+            data[at : at + 4] = struct.pack("<I", value)
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(valid_wavs(), MUTATIONS)
+def test_mutated_files_decode_or_raise_wav_format_error(tmp_path_factory, blob, mutations):
+    path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+    path.write_bytes(mutate(blob, mutations))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = read_wav(path)
+        except WavFormatError:
+            return
+    signal, meta = result
+    assert isinstance(signal, Signal)
+    assert len(signal) == meta.frame_count
