@@ -38,7 +38,8 @@ NOTE_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 class MagnitudeSpectrum:
     """Bin magnitudes over the non-negative frequencies of a transform.
 
-    frequencies[k] = k * sample_rate / source_n for k = 0 .. source_n // 2.
+    frequencies[k] = k * (sample_rate / source_n) for k = 0 .. source_n // 2,
+    which can differ in the last bit from k * sample_rate / source_n.
     source_n is the full transform length the half-spectrum came from.
     """
 
@@ -107,7 +108,7 @@ def find_peaks(
         raise DspError(
             f"relative threshold must be in (0, 1], got {relative_threshold}"
         )
-    if min_separation_hz < 0.0:
+    if not min_separation_hz >= 0.0:
         raise DspError(f"minimum separation must be >= 0, got {min_separation_hz}")
     values = mag.magnitudes
     ceiling = float(values.max(initial=0.0))
@@ -159,6 +160,19 @@ def identify_note(frequency_hz: float) -> NoteMatch | None:
     return NoteMatch(note_name=name, reference_hz=reference, deviation_cents=cents)
 
 
+def _analyze(
+    signal: Signal, relative_threshold: float, min_separation_hz: float, pad: bool
+) -> tuple[MagnitudeSpectrum, list[tuple[Peak, NoteMatch | None]]]:
+    """The analyze pipeline, also returning the spectrum its peaks came from."""
+    prepared = pad_to_pow2(signal) if pad else signal
+    mag = magnitude_spectrum(fft(prepared))
+    peaks = find_peaks(mag, relative_threshold, min_separation_hz)
+    return mag, [
+        (peak, identify_note(peak.frequency_hz) if peak.frequency_hz > 0.0 else None)
+        for peak in peaks
+    ]
+
+
 def analyze(
     signal: Signal,
     relative_threshold: float = 0.5,
@@ -171,13 +185,7 @@ def analyze(
     With pad=True the signal is zero-extended to a power of two first;
     with pad=False the length must already be a power of two.
     """
-    prepared = pad_to_pow2(signal) if pad else signal
-    mag = magnitude_spectrum(fft(prepared))
-    peaks = find_peaks(mag, relative_threshold, min_separation_hz)
-    return [
-        (peak, identify_note(peak.frequency_hz) if peak.frequency_hz > 0.0 else None)
-        for peak in peaks
-    ]
+    return _analyze(signal, relative_threshold, min_separation_hz, pad)[1]
 
 
 def write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import find_peaks, identify_note, magnitude_spectrum, write_spectrum_csv
+from .analysis import _analyze, write_spectrum_csv
 from .equalizer import PRESET_NAMES, equalize, load_profile, preset
 from .synth import mix, sine
-from .transform import FFT_LIMIT, DspError, Signal, dft_naive, fft, pad_to_pow2
+from .transform import FFT_LIMIT, DspError, Signal, dft_naive, fft
 from .wavio import read_wav, write_wav
 
 __all__ = ["main", "run_bench", "BenchRow", "UsageError"]
@@ -43,12 +43,10 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _parse_ints(text: str, what: str) -> list[int]:
     values = _parse_floats(text, what)
-    result = []
     for value in values:
-        if value != int(value):
+        if not value.is_integer():  # also rejects inf and nan
             raise UsageError(f"{what} must be integers, got {value}")
-        result.append(int(value))
-    return result
+    return [int(value) for value in values]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -57,22 +55,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.separation_hz >= 0.0:
         raise UsageError(f"--separation-hz must be >= 0, got {args.separation_hz}")
     signal, meta = read_wav(args.input)
-    prepared = signal if args.no_pad else pad_to_pow2(signal)
-    mag = magnitude_spectrum(fft(prepared))
+    mag, results = _analyze(signal, args.threshold, args.separation_hz, not args.no_pad)
     if args.csv:
         write_spectrum_csv(mag, args.csv)
-    peaks = find_peaks(mag, args.threshold, args.separation_hz)
 
     print(
         f"{args.input}: {meta.sample_rate} Hz, {meta.frame_count} frames, "
-        f"transform length {len(prepared)}, bin width {mag.bin_width_hz:.5g} Hz"
+        f"transform length {mag.source_n}, bin width {mag.bin_width_hz:.5g} Hz"
     )
-    if not peaks:
+    if not results:
         print("no peaks above threshold")
         return 0
     print(f"{'frequency_hz':>14} {'magnitude':>14} {'note':>6} {'cents':>8}")
-    for peak in peaks:
-        match = identify_note(peak.frequency_hz) if peak.frequency_hz > 0 else None
+    for peak, match in results:
         note = match.note_name if match else "-"
         cents = f"{match.deviation_cents:+.2f}" if match else "-"
         print(
@@ -176,6 +171,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for n in sizes:
         if n < 2 or n & (n - 1):
             raise UsageError(f"--sizes must be powers of two >= 2, got {n}")
+        if n > FFT_LIMIT:  # checked before run_bench allocates n samples
+            raise UsageError(f"--sizes must be powers of two up to {FFT_LIMIT}, got {n}")
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
 

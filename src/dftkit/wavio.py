@@ -54,10 +54,6 @@ def downmix_mono(channels: np.ndarray) -> np.ndarray:
     return array.mean(axis=1)
 
 
-def _chunk_name(chunk_id: bytes) -> str:
-    return chunk_id.decode("ascii", errors="replace")
-
-
 def read_wav(path) -> tuple[Signal, WavMeta]:
     """Decode a WAV file to a mono Signal plus the file's stored layout.
 
@@ -173,30 +169,22 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
     if float(np.max(np.abs(samples))) > 1.0:
         raise DspError("samples exceed [-1, 1]; clamp or normalize before writing")
 
+    fields = (channels, rate, byte_rate, block_align, bits_per_sample)
     if bits_per_sample == 16:
         quantized = np.clip(np.round(samples * 32768.0), -32768, 32767)
-        payload = quantized.astype("<i2").tobytes()
-        audio_format, encoding = _PCM, "pcm"
-    else:
-        payload = samples.astype("<f4").tobytes()
-        audio_format, encoding = _IEEE_FLOAT, "float"
-
-    frames = len(signal)
-
-    if audio_format == _PCM:
-        fmt_body = struct.pack(
-            "<HHIIHH", audio_format, channels, rate, byte_rate, block_align,
-            bits_per_sample,
-        )
-        chunks = [(b"fmt ", fmt_body), (b"data", payload)]
+        encoding = "pcm"
+        chunks = [
+            (b"fmt ", struct.pack("<HHIIHH", _PCM, *fields)),
+            (b"data", quantized.astype("<i2").tobytes()),
+        ]
     else:
         # non-PCM fmt carries a zero-length extension and a fact chunk
-        fmt_body = struct.pack(
-            "<HHIIHHH", audio_format, channels, rate, byte_rate, block_align,
-            bits_per_sample, 0,
-        )
-        fact_body = struct.pack("<I", frames)
-        chunks = [(b"fmt ", fmt_body), (b"fact", fact_body), (b"data", payload)]
+        encoding = "float"
+        chunks = [
+            (b"fmt ", struct.pack("<HHIIHHH", _IEEE_FLOAT, *fields, 0)),
+            (b"fact", struct.pack("<I", len(signal))),
+            (b"data", samples.astype("<f4").tobytes()),
+        ]
 
     riff_size = 4 + sum(8 + len(body) + (len(body) & 1) for _, body in chunks)
     with open(path, "wb") as handle:
@@ -211,6 +199,6 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
         channels=channels,
         bits_per_sample=bits_per_sample,
         sample_rate=rate,
-        frame_count=frames,
+        frame_count=len(signal),
         encoding=encoding,
     )

@@ -16,6 +16,7 @@ from dftkit import (
     identify_note,
     magnitude_spectrum,
     mix,
+    pad_to_pow2,
     sine,
     write_spectrum_csv,
 )
@@ -118,6 +119,16 @@ class TestFindPeaks:
         mag = make_mag([0, 1, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(DspError, match="separation"):
             find_peaks(mag, min_separation_hz=-1.0)
+
+    def test_rejects_nan_separation(self):
+        # a NaN separation fails every distance test, so the chord kept one peak
+        chord = mix([sine(f, duration_s=0.5) for f in (261.63, 329.63, 392.0)])
+        mag = magnitude_spectrum(fft(pad_to_pow2(chord)))
+        assert len(find_peaks(mag, 0.5, 20.0)) == 3
+        with pytest.raises(DspError, match="separation"):
+            find_peaks(mag, 0.5, float("nan"))
+        with pytest.raises(DspError, match="separation"):
+            analyze(chord, 0.5, float("nan"))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)

@@ -1,13 +1,17 @@
 """Unit tests for the command-line interface."""
 
+import contextlib
+import io
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dftkit.cli
-from dftkit import FFT_LIMIT, Signal, read_wav, write_wav
+from dftkit import FFT_LIMIT, PRESET_NAMES, Signal, read_wav, write_wav
 from dftkit.cli import main, run_bench
 
 
@@ -311,6 +315,22 @@ class TestBenchCommand:
         assert code == 2
         assert "powers of two" in stderr
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "8,-inf"])
+    def test_non_finite_size_is_a_usage_error(self, capsys, value):
+        code, _, stderr = run(capsys, "bench", "--sizes", value)
+        assert code == 2
+        assert "integers" in stderr
+
+    def test_size_past_the_fft_limit_is_a_usage_error(self, capsys, monkeypatch):
+        def no_bench(*args, **kwargs):
+            raise AssertionError("run_bench was called")
+
+        monkeypatch.setattr(dftkit.cli, "run_bench", no_bench)
+        for n in (2 * FFT_LIMIT, 2**62):
+            code, _, stderr = run(capsys, "bench", "--sizes", f"8,{n}")
+            assert code == 2
+            assert "powers of two" in stderr and str(FFT_LIMIT) in stderr
+
     def test_zero_repeats_is_a_usage_error(self, capsys):
         code, _, stderr = run(capsys, "bench", "--sizes", "8", "--repeats", "0")
         assert code == 2
@@ -339,3 +359,72 @@ class TestTopLevel:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "analyze" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# any argv
+# ---------------------------------------------------------------------------
+
+# Adversarial flag values. Most flags refuse all of them, though 0 is a valid
+# separation or tone. --repeats has no upper bound, so it is never given 2**62.
+ADVERSARIAL = ["nan", "inf", "-1", "0", "1e400", str(2**62), "", "abc"]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("cli")
+    write_wav(Signal(0.5 * np.sin(0.3 * np.arange(256)), 8000), folder / "pcm.wav")
+    write_wav(Signal(np.linspace(-0.5, 0.5, 300), 8000), folder / "float.wav", 32)
+    (folder / "good.profile").write_text("0,1000,0.5\n")
+    (folder / "bad.profile").write_text("0,160\n")
+    return folder
+
+
+@st.composite
+def any_argv(draw, folder):
+    """argv for one subcommand; every value that passes validation is small."""
+    wavs = [str(folder / "pcm.wav"), str(folder / "float.wav")]
+    not_wavs = [str(folder / name) for name in ("good.profile", "bad.profile", "missing")]
+    profiles = [str(folder / "good.profile")]
+    outputs = [str(folder / "out.wav"), str(folder / "out.csv")]
+    unwritable = ["", str(folder)]
+
+    def pick(valid, invalid):
+        return draw(st.one_of(st.sampled_from(valid), st.sampled_from(invalid)))
+
+    def flag(name, valid, invalid=ADVERSARIAL, optional=True):
+        if optional and draw(st.booleans()):
+            return []
+        return [name, pick(valid, invalid)]
+
+    command = draw(st.sampled_from(["analyze", "equalize", "synth", "bench"]))
+    if command == "analyze":
+        argv = [pick(wavs, not_wavs + unwritable)]
+        argv += flag("--threshold", ["1", "0.5", "0.05"])
+        argv += flag("--separation-hz", ["20", "0.5"])
+        argv += flag("--csv", outputs, unwritable)
+        argv += draw(st.sampled_from([[], ["--no-pad"]]))
+    elif command == "equalize":
+        argv = [pick(wavs, not_wavs + unwritable), pick(outputs, unwritable)]
+        argv += flag("--preset", list(PRESET_NAMES))
+        argv += flag("--profile", profiles, not_wavs[1:] + wavs + unwritable)
+    elif command == "synth":
+        argv = [pick(outputs, unwritable)]
+        argv += flag("--freqs", ["440", "100,300", "0"], ADVERSARIAL + ["0,1e400"])
+        argv += flag("--duration", ["0.01", "0.5"])  # at most 44100 samples at any rate
+        argv += flag("--rate", ["8000", "1000", "3"])
+    else:
+        argv = flag("--sizes", ["8", "64", "8,16"], ADVERSARIAL + ["1000", "2.5"], False)
+        refused = [value for value in ADVERSARIAL if value != str(2**62)]
+        argv += flag("--repeats", ["1", "2"], refused, False)
+        argv += flag("--csv", outputs, unwritable)
+    return [command] + argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_main_returns_an_exit_code_and_never_raises(cli_files, data):
+    argv = data.draw(any_argv(cli_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

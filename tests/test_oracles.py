@@ -1,4 +1,4 @@
-"""Checks of the rewritten hot paths against the versions they replaced.
+"""Checks of rewritten code paths against the versions they replaced.
 
 The oracles below are the earlier implementations, copied verbatim apart
 from their names. Where the arithmetic is unchanged every comparison is
@@ -7,14 +7,18 @@ counts as a failure. The real-input transform sums in a different order,
 so it is held to tolerances fixed from float64 rounding instead.
 """
 
+import contextlib
 import csv
+import io
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dftkit.cli
 from dftkit import (
     EPSILON,
     FFT_LIMIT,
@@ -26,21 +30,27 @@ from dftkit import (
     Peak,
     Signal,
     Spectrum,
+    WavMeta,
     build_gain_vector,
     equalize,
     fft,
     find_peaks,
+    identify_note,
     magnitude_spectrum,
     pad_to_pow2,
     preset,
+    read_wav,
     write_spectrum_csv,
+    write_wav,
 )
+from dftkit.cli import UsageError, main
 from dftkit.transform import (
     _bit_reversal,
     _fft_array,
     _ifft_array,
     _require_power_of_two,
 )
+from dftkit.wavio import _IEEE_FLOAT, _PCM
 
 # ---------------------------------------------------------------------------
 # Oracles: the loop implementations these paths replaced
@@ -176,6 +186,94 @@ def oracle_write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
             writer.writerow(
                 [k, f"{mag.frequencies[k]:.8g}", f"{mag.magnitudes[k]:.8g}"]
             )
+
+
+def oracle_cmd_analyze(args) -> int:
+    if not 0.0 < args.threshold <= 1.0:
+        raise UsageError(f"--threshold must be in (0, 1], got {args.threshold}")
+    if not args.separation_hz >= 0.0:
+        raise UsageError(f"--separation-hz must be >= 0, got {args.separation_hz}")
+    signal, meta = read_wav(args.input)
+    prepared = signal if args.no_pad else pad_to_pow2(signal)
+    mag = magnitude_spectrum(fft(prepared))
+    if args.csv:
+        write_spectrum_csv(mag, args.csv)
+    peaks = find_peaks(mag, args.threshold, args.separation_hz)
+
+    print(
+        f"{args.input}: {meta.sample_rate} Hz, {meta.frame_count} frames, "
+        f"transform length {len(prepared)}, bin width {mag.bin_width_hz:.5g} Hz"
+    )
+    if not peaks:
+        print("no peaks above threshold")
+        return 0
+    print(f"{'frequency_hz':>14} {'magnitude':>14} {'note':>6} {'cents':>8}")
+    for peak in peaks:
+        match = identify_note(peak.frequency_hz) if peak.frequency_hz > 0 else None
+        note = match.note_name if match else "-"
+        cents = f"{match.deviation_cents:+.2f}" if match else "-"
+        print(
+            f"{peak.frequency_hz:>14.4f} {peak.magnitude:>14.4f} {note:>6} {cents:>8}"
+        )
+    return 0
+
+
+def oracle_write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
+    if bits_per_sample not in (16, 32):
+        raise DspError(
+            f"unsupported bit depth {bits_per_sample} (use 16 for PCM or 32 for float)"
+        )
+    channels = 1
+    rate = signal.sample_rate
+    block_align = channels * bits_per_sample // 8
+    byte_rate = rate * block_align
+    if byte_rate > 0xFFFFFFFF:  # the header stores it as a uint32
+        raise DspError(f"sample rate {rate} Hz is too high for a {bits_per_sample}-bit WAV")
+    samples = signal.samples
+    if float(np.max(np.abs(samples))) > 1.0:
+        raise DspError("samples exceed [-1, 1]; clamp or normalize before writing")
+
+    if bits_per_sample == 16:
+        quantized = np.clip(np.round(samples * 32768.0), -32768, 32767)
+        payload = quantized.astype("<i2").tobytes()
+        audio_format, encoding = _PCM, "pcm"
+    else:
+        payload = samples.astype("<f4").tobytes()
+        audio_format, encoding = _IEEE_FLOAT, "float"
+
+    frames = len(signal)
+
+    if audio_format == _PCM:
+        fmt_body = struct.pack(
+            "<HHIIHH", audio_format, channels, rate, byte_rate, block_align,
+            bits_per_sample,
+        )
+        chunks = [(b"fmt ", fmt_body), (b"data", payload)]
+    else:
+        # non-PCM fmt carries a zero-length extension and a fact chunk
+        fmt_body = struct.pack(
+            "<HHIIHHH", audio_format, channels, rate, byte_rate, block_align,
+            bits_per_sample, 0,
+        )
+        fact_body = struct.pack("<I", frames)
+        chunks = [(b"fmt ", fmt_body), (b"fact", fact_body), (b"data", payload)]
+
+    riff_size = 4 + sum(8 + len(body) + (len(body) & 1) for _, body in chunks)
+    with open(path, "wb") as handle:
+        handle.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
+        for chunk_id, body in chunks:
+            handle.write(struct.pack("<4sI", chunk_id, len(body)))
+            handle.write(body)
+            if len(body) & 1:
+                handle.write(b"\x00")
+
+    return WavMeta(
+        channels=channels,
+        bits_per_sample=bits_per_sample,
+        sample_rate=rate,
+        frame_count=frames,
+        encoding=encoding,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +602,148 @@ def test_equalize_matches_the_complex_path(exponent, seed, kind, profile, rate, 
     assert len(actual) == len(expected) == length
     assert actual.sample_rate == expected.sample_rate
     assert float(np.max(np.abs(actual.samples - expected.samples))) <= EQUALIZE_TOLERANCE
+
+
+# ---------------------------------------------------------------------------
+# The analyze command, now a caller of the library pipeline
+# ---------------------------------------------------------------------------
+
+
+def run_analyze(command, argv):
+    """main(argv) with cmd_analyze replaced by command: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(dftkit.cli, "cmd_analyze", command):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def analyze_outputs(command, folder, argv, csv_name):
+    """run_analyze's result plus the CSV bytes, or None when no CSV was written."""
+    if csv_name is None:
+        return run_analyze(command, argv), None
+    csv_path = folder / csv_name
+    csv_path.unlink(missing_ok=True)
+    result = run_analyze(command, argv + ["--csv", str(csv_path)])
+    return result, csv_path.read_bytes() if csv_path.exists() else None
+
+
+def analyze_input(rng, kind, length):
+    """Samples inside [-1, 1]: silence, a DC offset, one to three tones, or noise."""
+    if kind == "silence":
+        return np.zeros(length)
+    if kind == "noise":
+        return rng.uniform(-1.0, 1.0, length)
+    k = np.arange(length)
+    tones = sum(
+        np.cos(2.0 * np.pi * rng.uniform(0.0, 0.5) * k + rng.uniform(0.0, 6.3))
+        for _ in range(rng.integers(1, 4))
+    )
+    if kind == "dc":
+        return 0.5 + 0.1 * tones / 3.0  # bin 0 is the largest peak
+    return tones / 3.0
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    """One directory for every example: each writes the same few file names."""
+    return tmp_path_factory.mktemp("outputs")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["silence", "dc", "tones", "noise"]),
+    length=st.one_of(
+        st.sampled_from([1, 2, 64, 512]), st.integers(min_value=1, max_value=600)
+    ),
+    rate=RATES,
+    bits=st.sampled_from([16, 32]),
+    threshold=st.one_of(THRESHOLDS, st.sampled_from([0.0, 1.5, float("nan")])),
+    separation=st.one_of(
+        st.sampled_from([0.0, 20.0, -1.0, float("nan")]),
+        st.floats(min_value=0.0, max_value=500.0),
+    ),
+    no_pad=st.booleans(),
+    with_csv=st.booleans(),
+)
+def test_analyze_command_matches_the_step_by_step_version(
+    folder, seed, kind, length, rate, bits, threshold, separation, no_pad, with_csv
+):
+    wav = folder / "input.wav"
+    samples = analyze_input(np.random.default_rng(seed), kind, length)
+    write_wav(Signal(samples, rate), wav, bits_per_sample=bits)
+    argv = ["analyze", str(wav), "--threshold", repr(threshold)]
+    argv += ["--separation-hz", repr(separation)] + (["--no-pad"] if no_pad else [])
+    expected = analyze_outputs(
+        oracle_cmd_analyze, folder, argv, "expected.csv" if with_csv else None
+    )
+    actual = analyze_outputs(
+        dftkit.cli.cmd_analyze, folder, argv, "actual.csv" if with_csv else None
+    )
+    assert actual == expected
+
+
+def test_dc_peak_prints_dashes_like_the_step_by_step_version(tmp_path):
+    wav = tmp_path / "dc.wav"
+    write_wav(Signal(0.25 + 0.05 * np.cos(2.0 * np.pi * np.arange(300) / 8), 8000), wav)
+    argv = ["analyze", str(wav), "--threshold", "0.1"]
+    expected = analyze_outputs(oracle_cmd_analyze, tmp_path, argv, "expected.csv")
+    actual = analyze_outputs(dftkit.cli.cmd_analyze, tmp_path, argv, "actual.csv")
+    assert actual == expected
+    (code, stdout, _), _ = actual
+    rows = [line.split() for line in stdout.splitlines()[2:]]
+    assert code == 0 and rows[0][0] == "0.0000" and rows[0][2:] == ["-", "-"]
+    assert rows[1][2] == "B5"  # 1000 Hz, named
+
+
+# ---------------------------------------------------------------------------
+# write_wav with one format branch
+# ---------------------------------------------------------------------------
+
+
+def write_outcome(write, signal, path, bits):
+    """The file bytes and returned meta, or the error and whether a file was left."""
+    path.unlink(missing_ok=True)
+    try:
+        meta = write(signal, path, bits_per_sample=bits)
+    except DspError as exc:
+        return type(exc), str(exc), path.exists()
+    return meta, path.read_bytes()
+
+
+@st.composite
+def wav_signals(draw):
+    bits = draw(st.sampled_from([16, 32, 16, 32, 8, 24]))
+    limit = 0xFFFFFFFF // (bits // 8)  # the largest rate whose byte rate fits a uint32
+    rate = draw(
+        st.one_of(
+            RATES,
+            st.integers(min_value=1, max_value=limit),
+            st.sampled_from([limit, limit + 1]),
+            st.integers(min_value=limit + 1, max_value=2**40),
+        )
+    )
+    length = draw(st.integers(min_value=1, max_value=512))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "half-steps", "extremes", "over"]))
+    if kind == "uniform":
+        samples = rng.uniform(-1.0, 1.0, length)
+    elif kind == "half-steps":  # exactly between two PCM-16 codes: rounding decides
+        samples = (rng.integers(-32768, 32768, length) + 0.5) / 32768.0
+        samples = np.clip(samples, -1.0, 1.0)
+    elif kind == "extremes":
+        samples = rng.choice([-1.0, 1.0, 0.0, -0.0, 32767 / 32768, -32767.5 / 32768], length)
+    else:  # one sample just past full scale: both versions refuse
+        samples = rng.uniform(-1.0, 1.0, length)
+        samples[rng.integers(length)] = np.nextafter(1.0, 2.0)
+    return Signal(samples, rate), bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(wav_signals())
+def test_write_wav_matches_the_two_branch_version(folder, case):
+    signal, bits = case
+    expected = write_outcome(oracle_write_wav, signal, folder / "expected.wav", bits)
+    actual = write_outcome(write_wav, signal, folder / "actual.wav", bits)
+    assert actual == expected
