@@ -7,7 +7,6 @@ input, so everything here works on bins 0 through n/2 inclusive.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,10 @@ A4_HZ = 440.0
 
 # Twelve-tone equal temperament, ascending from C.
 NOTE_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
+
+# Rows formatted per write, by write_spectrum_csv and by the analyze command's
+# peak table; a larger chunk holds more rows in memory at once.
+_ROWS_PER_WRITE = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +101,19 @@ def find_peaks(
     peak are dropped (ties keep the lower bin). The result is sorted by
     ascending frequency and is deterministic for a given input.
 
-    Kept bins are held in bin order and each candidate is tested only
-    against its nearest kept neighbour on either side. Frequencies are
-    monotone in the bin index, and so are their rounded differences, so
-    a kept bin further out is never closer than the nearest one on its
-    side: the result equals testing every kept peak.
+    When every gap between adjacent candidates is at least
+    min_separation_hz, every candidate is kept without ranking them. The
+    gaps are the same float subtraction and comparison the suppression
+    below makes, and by the monotonicity argument that follows no pair
+    of candidates is then closer than an adjacent one, so the shortcut
+    keeps exactly what the suppression would.
+
+    Otherwise kept bins are held in bin order and each candidate, taken
+    by falling magnitude, is tested only against its nearest kept
+    neighbour on either side. Frequencies are monotone in the bin index,
+    and so are their rounded differences, so a kept bin further out is
+    never closer than the nearest one on its side: the result equals
+    testing every kept peak.
     """
     if not 0.0 < relative_threshold <= 1.0:
         raise DspError(
@@ -121,25 +132,21 @@ def find_peaks(
     is_candidate[1:] &= values[1:] > values[:-1]
     is_candidate[:-1] &= values[:-1] > values[1:]
     index = np.flatnonzero(is_candidate)
-    order = index[np.lexsort((index, -values[index]))]
+    freqs = mag.frequencies[index]
 
-    kept: list[int] = []
-    kept_freqs: list[float] = []
-    for k, freq in zip(order.tolist(), mag.frequencies[order].tolist()):
-        slot = bisect.bisect_left(kept, k)
-        if (slot == 0 or abs(freq - kept_freqs[slot - 1]) >= min_separation_hz) and (
-            slot == len(kept) or abs(freq - kept_freqs[slot]) >= min_separation_hz
-        ):
-            kept.insert(slot, k)
-            kept_freqs.insert(slot, freq)
-    return [
-        Peak(
-            bin_index=k,
-            frequency_hz=float(mag.frequencies[k]),
-            magnitude=float(mag.magnitudes[k]),
-        )
-        for k in kept
-    ]
+    if (np.abs(np.diff(freqs)) >= min_separation_hz).all():
+        kept, kept_freqs = index.tolist(), freqs.tolist()
+    else:
+        order = np.lexsort((index, -values[index]))
+        kept, kept_freqs = [], []
+        for k, freq in zip(index[order].tolist(), freqs[order].tolist()):
+            slot = bisect.bisect_left(kept, k)
+            if (slot == 0 or abs(freq - kept_freqs[slot - 1]) >= min_separation_hz) and (
+                slot == len(kept) or abs(freq - kept_freqs[slot]) >= min_separation_hz
+            ):
+                kept.insert(slot, k)
+                kept_freqs.insert(slot, freq)
+    return list(map(Peak, kept, kept_freqs, values[kept].tolist()))
 
 
 def identify_note(frequency_hz: float) -> NoteMatch | None:
@@ -189,9 +196,20 @@ def analyze(
 
 
 def write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
-    """Dump a half-spectrum as CSV rows of bin, frequency_hz, magnitude."""
+    """Dump a half-spectrum as CSV rows of bin, frequency_hz, magnitude.
+
+    The file is the header line then one row per bin, every line ending
+    in CRLF and both float fields written as %.8g. Rows are formatted and
+    written _ROWS_PER_WRITE at a time, so the memory used beyond the
+    spectrum itself is bounded by the chunk size, not by its length.
+    """
+    size = len(mag)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin", "frequency_hz", "magnitude"])
-        rows = zip(range(len(mag)), mag.frequencies.tolist(), mag.magnitudes.tolist())
-        writer.writerows([k, f"{freq:.8g}", f"{m:.8g}"] for k, freq, m in rows)
+        handle.write("bin,frequency_hz,magnitude\r\n")
+        for start in range(0, size, _ROWS_PER_WRITE):
+            stop = min(start + _ROWS_PER_WRITE, size)
+            fields = [0] * (3 * (stop - start))
+            fields[0::3] = range(start, stop)
+            fields[1::3] = mag.frequencies[start:stop].tolist()
+            fields[2::3] = mag.magnitudes[start:stop].tolist()
+            handle.write(("%d,%.8g,%.8g\r\n" * (stop - start)) % tuple(fields))

@@ -18,13 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _analyze, write_spectrum_csv
+from .analysis import _ROWS_PER_WRITE, _analyze, write_spectrum_csv
 from .equalizer import PRESET_NAMES, equalize, load_profile, preset
 from .synth import mix, sine
-from .transform import FFT_LIMIT, DspError, Signal, dft_naive, fft
+from .transform import DEFAULT_NAIVE_LIMIT, FFT_LIMIT, DspError, Signal, dft_naive, fft
 from .wavio import read_wav, write_wav
 
 __all__ = ["main", "run_bench", "BenchRow", "UsageError"]
+
+
+# Upper bound on bench --repeats; each repeat runs every size's naive transform.
+MAX_REPEATS = 1000
 
 
 class UsageError(Exception):
@@ -67,11 +71,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("no peaks above threshold")
         return 0
     print(f"{'frequency_hz':>14} {'magnitude':>14} {'note':>6} {'cents':>8}")
-    for peak, match in results:
-        note = match.note_name if match else "-"
-        cents = f"{match.deviation_cents:+.2f}" if match else "-"
-        print(
-            f"{peak.frequency_hz:>14.4f} {peak.magnitude:>14.4f} {note:>6} {cents:>8}"
+    for start in range(0, len(results), _ROWS_PER_WRITE):
+        sys.stdout.write(
+            "".join(
+                "%14.4f %14.4f %6s %+8.2f\n"
+                % (peak.frequency_hz, peak.magnitude, match.note_name, match.deviation_cents)
+                if match
+                else "%14.4f %14.4f %6s %8s\n" % (peak.frequency_hz, peak.magnitude, "-", "-")
+                for peak, match in results[start : start + _ROWS_PER_WRITE]
+            )
         )
     return 0
 
@@ -171,10 +179,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for n in sizes:
         if n < 2 or n & (n - 1):
             raise UsageError(f"--sizes must be powers of two >= 2, got {n}")
-        if n > FFT_LIMIT:  # checked before run_bench allocates n samples
-            raise UsageError(f"--sizes must be powers of two up to {FFT_LIMIT}, got {n}")
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+        if n > DEFAULT_NAIVE_LIMIT:  # dft_naive is O(n^2): 2^24 would take weeks
+            raise UsageError(
+                f"--sizes must be powers of two up to {DEFAULT_NAIVE_LIMIT}, the "
+                f"naive transform's limit (the fast one takes up to {FFT_LIMIT}), got {n}"
+            )
+    if not 1 <= args.repeats <= MAX_REPEATS:
+        raise UsageError(f"--repeats must be from 1 to {MAX_REPEATS}, got {args.repeats}")
 
     rows = run_bench(sizes, repeats=args.repeats)
     print(f"{'n':>8} {'dft_naive_s':>14} {'fft_s':>14} {'ratio':>10}")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dftkit.cli
-from dftkit import FFT_LIMIT, PRESET_NAMES, Signal, read_wav, write_wav
+from dftkit import DEFAULT_NAIVE_LIMIT, FFT_LIMIT, PRESET_NAMES, Signal, read_wav, write_wav
 from dftkit.cli import main, run_bench
 
 
@@ -331,6 +331,26 @@ class TestBenchCommand:
             assert code == 2
             assert "powers of two" in stderr and str(FFT_LIMIT) in stderr
 
+    def test_size_past_the_naive_limit_is_a_usage_error(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dftkit.cli, "run_bench", lambda *args, **kw: calls.append(args) or [])
+        for n in (2 * DEFAULT_NAIVE_LIMIT, FFT_LIMIT):
+            code, _, stderr = run(capsys, "bench", "--sizes", f"8,{n}")
+            assert code == 2
+            assert "powers of two" in stderr and str(DEFAULT_NAIVE_LIMIT) in stderr
+        assert run(capsys, "bench", "--sizes", f"8,{DEFAULT_NAIVE_LIMIT}")[0] == 0
+        assert calls == [([8, DEFAULT_NAIVE_LIMIT],)]
+
+    def test_repeats_past_the_cap_is_a_usage_error(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dftkit.cli, "run_bench", lambda *args, **kw: calls.append(kw) or [])
+        for value in ("1001", str(2**62)):
+            code, _, stderr = run(capsys, "bench", "--sizes", "8", "--repeats", value)
+            assert code == 2
+            assert "repeats" in stderr and "1000" in stderr
+        assert run(capsys, "bench", "--sizes", "8", "--repeats", "1000")[0] == 0
+        assert calls == [{"repeats": 1000}]
+
     def test_zero_repeats_is_a_usage_error(self, capsys):
         code, _, stderr = run(capsys, "bench", "--sizes", "8", "--repeats", "0")
         assert code == 2
@@ -366,7 +386,7 @@ class TestTopLevel:
 # ---------------------------------------------------------------------------
 
 # Adversarial flag values. Most flags refuse all of them, though 0 is a valid
-# separation or tone. --repeats has no upper bound, so it is never given 2**62.
+# separation or tone.
 ADVERSARIAL = ["nan", "inf", "-1", "0", "1e400", str(2**62), "", "abc"]
 
 
@@ -415,8 +435,7 @@ def any_argv(draw, folder):
         argv += flag("--rate", ["8000", "1000", "3"])
     else:
         argv = flag("--sizes", ["8", "64", "8,16"], ADVERSARIAL + ["1000", "2.5"], False)
-        refused = [value for value in ADVERSARIAL if value != str(2**62)]
-        argv += flag("--repeats", ["1", "2"], refused, False)
+        argv += flag("--repeats", ["1", "2"], optional=False)
         argv += flag("--csv", outputs, unwritable)
     return [command] + argv
 

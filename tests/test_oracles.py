@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dftkit.cli
@@ -43,6 +43,7 @@ from dftkit import (
     write_spectrum_csv,
     write_wav,
 )
+from dftkit.analysis import _ROWS_PER_WRITE
 from dftkit.cli import UsageError, main
 from dftkit.transform import (
     _bit_reversal,
@@ -197,8 +198,8 @@ def oracle_cmd_analyze(args) -> int:
     prepared = signal if args.no_pad else pad_to_pow2(signal)
     mag = magnitude_spectrum(fft(prepared))
     if args.csv:
-        write_spectrum_csv(mag, args.csv)
-    peaks = find_peaks(mag, args.threshold, args.separation_hz)
+        oracle_write_spectrum_csv(mag, args.csv)
+    peaks = oracle_find_peaks(mag, args.threshold, args.separation_hz)
 
     print(
         f"{args.input}: {meta.sample_rate} Hz, {meta.frame_count} frames, "
@@ -379,6 +380,29 @@ class TestFindPeaksOracle:
                 oracle_find_peaks(mag, 0.1, separation)
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(RANDOM_VALUES, PLATEAU_VALUES),
+        RATES,
+        THRESHOLDS,
+        st.sampled_from(["zero", "smallest gap", "just above it"]),
+    )
+    def test_separation_at_the_smallest_candidate_gap(self, values, rate, threshold, which):
+        # With separation 0 every strict local maximum above the floor is kept.
+        mag = half_spectrum(values, rate)
+        candidates = [p.bin_index for p in oracle_find_peaks(mag, threshold, 0.0)]
+        assume(len(candidates) >= 2)
+        gap = float(np.abs(np.diff(mag.frequencies[candidates])).min())
+        separation = {
+            "zero": 0.0,
+            "smallest gap": gap,
+            "just above it": float(np.nextafter(gap, np.inf)),
+        }[which]
+        peaks = find_peaks(mag, threshold, separation)
+        assert peak_bytes(peaks) == peak_bytes(oracle_find_peaks(mag, threshold, separation))
+        keeps_all = [p.bin_index for p in peaks] == candidates
+        assert keeps_all == (which != "just above it")
+
 
 # ---------------------------------------------------------------------------
 # build_gain_vector
@@ -492,6 +516,65 @@ def test_spectrum_csv_matches_the_loop_version(tmp_path_factory, values, rate):
     oracle_write_spectrum_csv(mag, folder / "expected.csv")
     write_spectrum_csv(mag, folder / "actual.csv")
     assert (folder / "actual.csv").read_bytes() == (folder / "expected.csv").read_bytes()
+
+
+# Values where %.8g might in principle format differently from format(x, ".8g").
+AWKWARD_FLOATS = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            1e-310,
+            2.2250738585072014e-308,
+            1e16,
+            1e16 + 2.0,
+            1.2345678912345e22,
+            1.7976931348623157e308,
+            12345678.0,
+            123456789.0,
+            -987654321.0,
+            9.99999995e7,
+            99999999.5,
+            9.9999999e-5,
+            float("inf"),
+            float("-inf"),
+            float("nan"),
+        ]
+    ),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.floats(allow_subnormal=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(AWKWARD_FLOATS, AWKWARD_FLOATS), min_size=1, max_size=40))
+def test_spectrum_csv_formats_awkward_floats_like_the_loop_version(tmp_path_factory, rows):
+    mag = MagnitudeSpectrum(
+        frequencies=np.array([freq for freq, _ in rows]),
+        magnitudes=np.array([m for _, m in rows]),
+        source_n=2 * len(rows),
+        sample_rate=8000,
+    )
+    folder = tmp_path_factory.mktemp("csv")
+    oracle_write_spectrum_csv(mag, folder / "expected.csv")
+    write_spectrum_csv(mag, folder / "actual.csv")
+    assert (folder / "actual.csv").read_bytes() == (folder / "expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [1, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE, _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE + 1],
+)
+def test_spectrum_csv_across_chunk_boundaries(tmp_path, rows):
+    values = np.random.default_rng(rows).uniform(0.0, 1e3, rows)
+    mag = half_spectrum(values, 44100)
+    oracle_write_spectrum_csv(mag, tmp_path / "expected.csv")
+    write_spectrum_csv(mag, tmp_path / "actual.csv")
+    written = (tmp_path / "actual.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    assert written.count(b"\r\n") == rows + 1
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +778,19 @@ def test_dc_peak_prints_dashes_like_the_step_by_step_version(tmp_path):
     rows = [line.split() for line in stdout.splitlines()[2:]]
     assert code == 0 and rows[0][0] == "0.0000" and rows[0][2:] == ["-", "-"]
     assert rows[1][2] == "B5"  # 1000 Hz, named
+
+
+def test_peak_table_across_write_chunks(tmp_path):
+    # DC plus noise: every local maximum is a peak and bin 0 prints dashes.
+    wav = tmp_path / "dense.wav"
+    write_wav(Signal(0.3 + 0.6 * np.random.default_rng(0).uniform(-1, 1, 8192), 8000), wav)
+    argv = ["analyze", str(wav), "--threshold", "1e-300", "--separation-hz", "0"]
+    expected = run_analyze(oracle_cmd_analyze, argv)
+    assert expected[1].count("\n") > 2 * _ROWS_PER_WRITE + 2
+    assert expected[1].splitlines()[2].split()[2:] == ["-", "-"]
+    for rows_per_write in (1, 2, 7, _ROWS_PER_WRITE):
+        with mock.patch.object(dftkit.cli, "_ROWS_PER_WRITE", rows_per_write):
+            assert run_analyze(dftkit.cli.cmd_analyze, argv) == expected
 
 
 # ---------------------------------------------------------------------------
