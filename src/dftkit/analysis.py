@@ -6,7 +6,6 @@ input, so everything here works on bins 0 through n/2 inclusive.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -101,19 +100,10 @@ def find_peaks(
     peak are dropped (ties keep the lower bin). The result is sorted by
     ascending frequency and is deterministic for a given input.
 
-    When every gap between adjacent candidates is at least
-    min_separation_hz, every candidate is kept without ranking them. The
-    gaps are the same float subtraction and comparison the suppression
-    below makes, and by the monotonicity argument that follows no pair
-    of candidates is then closer than an adjacent one, so the shortcut
-    keeps exactly what the suppression would.
-
-    Otherwise kept bins are held in bin order and each candidate, taken
-    by falling magnitude, is tested only against its nearest kept
-    neighbour on either side. Frequencies are monotone in the bin index,
-    and so are their rounded differences, so a kept bin further out is
-    never closer than the nearest one on its side: the result equals
-    testing every kept peak.
+    Rounded frequency gaps grow with the distance in bins, so only candidates
+    with an adjacent one too close can drop or be dropped. Taken by falling
+    magnitude, each one still free is kept and clears the run too close to it
+    on each side. At most one kept peak per side reaches a candidate: linear.
     """
     if not 0.0 < relative_threshold <= 1.0:
         raise DspError(
@@ -134,32 +124,40 @@ def find_peaks(
     index = np.flatnonzero(is_candidate)
     freqs = mag.frequencies[index]
 
-    if (np.abs(np.diff(freqs)) >= min_separation_hz).all():
-        kept, kept_freqs = index.tolist(), freqs.tolist()
-    else:
-        order = np.lexsort((index, -values[index]))
-        kept, kept_freqs = [], []
-        for k, freq in zip(index[order].tolist(), freqs[order].tolist()):
-            slot = bisect.bisect_left(kept, k)
-            if (slot == 0 or abs(freq - kept_freqs[slot - 1]) >= min_separation_hz) and (
-                slot == len(kept) or abs(freq - kept_freqs[slot]) >= min_separation_hz
-            ):
-                kept.insert(slot, k)
-                kept_freqs.insert(slot, freq)
-    return list(map(Peak, kept, kept_freqs, values[kept].tolist()))
+    apart = np.abs(freqs[1:] - freqs[:-1]) >= min_separation_hz
+    keep = np.ones(index.size, dtype=bool)
+    keep[1:] &= apart
+    keep[:-1] &= apart
+    crowded = np.nonzero(~keep)[0]
+    near = freqs[crowded].tolist()
+    free = [True] * len(near)
+    for i in np.lexsort((crowded, -values[index[crowded]])).tolist():
+        if free[i]:
+            for step in (-1, 1):
+                j = i + step
+                while 0 <= j < len(near) and abs(near[j] - near[i]) < min_separation_hz:
+                    free[j] = False
+                    j += step
+    keep[crowded] = free
+    kept = index[keep]
+    return list(map(Peak, kept.tolist(), freqs[keep].tolist(), values[kept].tolist()))
 
 
 def identify_note(frequency_hz: float) -> NoteMatch | None:
     """Snap a frequency to the nearest equal-temperament note.
 
-    Returns None when the frequency sits more than 50 cents from every
-    note (cannot happen on the standard grid, but guards a changed one).
+    Returns None when rounding error at the midpoint of two notes leaves it
+    over 50 cents from the chosen one. Raises DspError when the reference
+    pitch is not a positive normal float, as at the ends of the float range.
     """
     if not math.isfinite(frequency_hz) or frequency_hz <= 0.0:
         raise DspError(f"frequency must be positive and finite, got {frequency_hz}")
-    semitones = round(12.0 * math.log2(frequency_hz / A4_HZ))
+    # A ratio that underflows to 0 stands in as the smallest subnormal, rejected below.
+    semitones = round(12.0 * math.log2(frequency_hz / A4_HZ or 5e-324))
     midi = 69 + semitones
     reference = A4_HZ * 2.0 ** (semitones / 12.0)
+    if not 2.2250738585072014e-308 <= reference <= 1.7976931348623157e308:
+        raise DspError(f"frequency {frequency_hz} Hz has no normal reference pitch")
     cents = 1200.0 * math.log2(frequency_hz / reference)
     if abs(cents) > 50.0:
         return None

@@ -58,7 +58,7 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
     """Decode a WAV file to a mono Signal plus the file's stored layout.
 
     PCM-16 samples are scaled by 1/32768; float samples are clipped to
-    [-1, 1]. A trailing partial frame in the data chunk is dropped.
+    [-1, 1]. A trailing partial frame is dropped; a truncated data chunk is an error.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -108,6 +108,8 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
         elif chunk_id == b"data":
             if fmt is None:
                 raise WavFormatError("data chunk appears before fmt chunk")
+            if len(body) < size:
+                raise WavFormatError(f"data chunk declares {size} bytes, {len(body)} present")
             data = body
         # any other chunk is skipped
         offset += 8 + size + (size & 1)  # chunks are word-aligned

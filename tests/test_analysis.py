@@ -183,6 +183,12 @@ class TestIdentifyNote:
         with pytest.raises(DspError, match="positive and finite"):
             identify_note(bad)
 
+    # In turn: the ratio to A4 underflows to 0, the reference overflows, it is subnormal.
+    @pytest.mark.parametrize("extreme", [5e-324, 1.79e308, 1e-320])
+    def test_rejects_a_frequency_without_a_normal_reference(self, extreme):
+        with pytest.raises(DspError, match="no normal reference pitch"):
+            identify_note(extreme)
+
 
 # ---------------------------------------------------------------------------
 # End-to-end analysis

@@ -350,16 +350,21 @@ class TestFindPeaksOracle:
             expected
         )
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from([256, 1024, 4096]),
         THRESHOLDS,
-        st.sampled_from([0.0, 5.0, 20.0]),
+        st.sampled_from(
+            [(0.0, "Hz"), (5.0, "Hz"), (20.0, "Hz"), (1.5, "bins"), (2.5, "bins"), (3.5, "bins")]
+        ),
     )
-    def test_matches_on_transformed_noise(self, seed, n, threshold, separation):
+    def test_matches_on_transformed_noise(self, seed, n, threshold, spacing):
+        # Candidates are at least two bins apart, so 2.5 and 3.5 bin widths crowd many.
         rng = np.random.default_rng(seed)
         mag = magnitude_spectrum(fft(Signal(rng.uniform(-1.0, 1.0, n), 8000)))
+        amount, unit = spacing
+        separation = amount * mag.bin_width_hz if unit == "bins" else amount
         expected = oracle_find_peaks(mag, threshold, separation)
         assert peak_bytes(find_peaks(mag, threshold, separation)) == peak_bytes(
             expected
@@ -379,6 +384,50 @@ class TestFindPeaksOracle:
             assert peak_bytes(find_peaks(mag, 0.1, separation)) == peak_bytes(
                 oracle_find_peaks(mag, 0.1, separation)
             )
+
+    def test_a_dropped_peak_drops_nothing(self):
+        # 9 drops 8, so 7 stays although 8 would have dropped it; likewise 5.
+        mag = half_spectrum([0, 9, 0, 8, 0, 7, 0, 6, 0, 5, 0, 0, 0], 24)
+        assert [p.bin_index for p in find_peaks(mag, 0.1, 2.5)] == [1, 5, 9]
+        assert peak_bytes(find_peaks(mag, 0.1, 2.5)) == peak_bytes(
+            oracle_find_peaks(mag, 0.1, 2.5)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(PLATEAU_VALUES, RANDOM_VALUES), RATES, THRESHOLDS, st.sampled_from([1e300, np.inf])
+    )
+    def test_a_separation_past_the_spectrum_keeps_one_peak(self, values, rate, threshold, separation):
+        mag = half_spectrum(values, rate)
+        assume(oracle_find_peaks(mag, threshold, 0.0))
+        peaks = find_peaks(mag, threshold, separation)
+        assert len(peaks) == 1
+        assert peak_bytes(peaks) == peak_bytes(oracle_find_peaks(mag, threshold, separation))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([2, 3, 4, 6, 7, 9]),
+                st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        RATES,
+        st.sampled_from([1.5, 3.5, 4.5, 5.0, 6.5]),
+    )
+    def test_matches_where_crowded_and_lone_candidates_alternate(self, spikes, rate, widths):
+        # Spikes on a silent floor, each a drawn number of bins after the last:
+        # gaps under the separation crowd them, wider gaps leave them alone.
+        values = [0.0]
+        for gap, height in spikes:
+            values += [0.0] * (gap - 1) + [height]
+        mag = half_spectrum(values + [0.0], rate)
+        separation = widths * mag.bin_width_hz
+        assert peak_bytes(find_peaks(mag, 0.05, separation)) == peak_bytes(
+            oracle_find_peaks(mag, 0.05, separation)
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from dftkit import (
     Band,
+    DspError,
     GainProfile,
+    NoteMatch,
     Signal,
     Spectrum,
     build_gain_vector,
@@ -165,3 +167,12 @@ class TestNoteProperties:
         match = identify_note(frequency)
         assert match is not None
         assert match.deviation_cents == pytest.approx(cents, abs=1e-6)
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=500, deadline=None)
+    def test_any_positive_finite_frequency_names_a_note_or_raises_dsp_error(self, frequency):
+        try:
+            match = identify_note(frequency)
+        except DspError:
+            return
+        assert match is None or isinstance(match, NoteMatch)

@@ -278,6 +278,13 @@ class TestMalformedFiles:
         with pytest.raises(WavFormatError, match="sample rate"):
             read_wav(path)
 
+    def test_data_chunk_past_the_end_of_the_file(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        blob = build_wav([(b"fmt ", pcm_fmt()), (b"data", pcm_data(np.arange(100)))])
+        path.write_bytes(blob[:-50])  # 100 frames declared, 75 present
+        with pytest.raises(WavFormatError, match="declares 200 bytes, 150 present"):
+            read_wav(path)
+
     def test_empty_data_chunk(self, tmp_path):
         path = tmp_path / "empty.wav"
         path.write_bytes(build_wav([(b"fmt ", pcm_fmt()), (b"data", b"")]))
