@@ -143,12 +143,12 @@ def find_peaks(
     return list(map(Peak, kept.tolist(), freqs[keep].tolist(), values[kept].tolist()))
 
 
-def identify_note(frequency_hz: float) -> NoteMatch | None:
+def identify_note(frequency_hz: float) -> NoteMatch:
     """Snap a frequency to the nearest equal-temperament note.
 
-    Returns None when rounding error at the midpoint of two notes leaves it
-    over 50 cents from the chosen one. Raises DspError when the reference
-    pitch is not a positive normal float, as at the ends of the float range.
+    |deviation_cents| passes 50 only by rounding, at the midpoint of two
+    notes. Raises DspError when the reference pitch is not a positive
+    normal float, as at the ends of the float range.
     """
     if not math.isfinite(frequency_hz) or frequency_hz <= 0.0:
         raise DspError(f"frequency must be positive and finite, got {frequency_hz}")
@@ -159,8 +159,6 @@ def identify_note(frequency_hz: float) -> NoteMatch | None:
     if not 2.2250738585072014e-308 <= reference <= 1.7976931348623157e308:
         raise DspError(f"frequency {frequency_hz} Hz has no normal reference pitch")
     cents = 1200.0 * math.log2(frequency_hz / reference)
-    if abs(cents) > 50.0:
-        return None
     name = f"{NOTE_NAMES[midi % 12]}{midi // 12 - 1}"
     return NoteMatch(note_name=name, reference_hz=reference, deviation_cents=cents)
 

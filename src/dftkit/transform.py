@@ -2,9 +2,10 @@
 
 One normalization convention throughout: the forward sum carries no
 prefactor, the inverse carries 1/n. The naive O(n^2) paths walk the
-transform matrix row by row so the full matrix is never materialized
-unless asked for; the fast paths are an iterative radix-2
-decimation-in-time butterfly over bit-reversed input.
+rows of one transform matrix F, so it is never materialized unless
+asked for; the fast paths are an iterative radix-2 decimation-in-time
+butterfly over bit-reversed input. Both inverses are conj(F conj(X)) / n
+over their forward kernel.
 
 The permutation is built by doubling and every stage reads its twiddles
 from one table of n/2 roots, with the same bits as per-stage twiddles.
@@ -25,6 +26,7 @@ computed. The inverse runs the same identities backwards.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,46 +154,39 @@ def omega(n: int) -> complex:
     return complex(math.cos(angle), -math.sin(angle))
 
 
-def _omega_powers(n: int) -> np.ndarray:
-    """All n distinct powers of omega(n): table[m] = e^(-2*pi*i*m/n)."""
-    return np.exp(-2j * np.pi * np.arange(n) / n)
+def _matrix_rows(n: int, max_n: int, what: str) -> Iterator[np.ndarray]:
+    """Rows k = 0 .. n-1 of the transform matrix, one array at a time.
 
-
-def dft_matrix(n: int, max_n: int = DEFAULT_NAIVE_LIMIT) -> DftMatrix:
-    """Materialize the full transform matrix.
-
-    Exponents are reduced modulo n before the power table lookup, so
-    entry (j, k) and entry (k, j) are the same float values and the
-    phase stays exact even for large j*k.
+    The checks run on the call, not on the first row. Exponents are
+    reduced modulo n before the power table lookup, so entry (j, k) and
+    entry (k, j) are the same float values and the phase stays exact
+    even for large j*k.
     """
     if n < 1:
         raise DspError(f"transform order must be >= 1, got {n}")
     if n > max_n:
-        raise DspError(f"matrix order {n} exceeds the naive-path limit {max_n}")
-    powers = _omega_powers(n)
+        raise DspError(f"{what} {n} exceeds the naive-path limit {max_n}")
+    powers = np.exp(-2j * np.pi * np.arange(n) / n)
     j = np.arange(n, dtype=np.int64)
-    entries = np.empty((n, n), dtype=np.complex128)
-    for k in range(n):  # row at a time keeps the index scratch at O(n)
-        entries[k] = powers[(j * k) % n]
-    return DftMatrix(n=n, entries=entries)
+    return (powers[(j * k) % n] for k in range(n))
+
+
+def dft_matrix(n: int, max_n: int = DEFAULT_NAIVE_LIMIT) -> DftMatrix:
+    """Materialize the full transform matrix, stacked from its rows."""
+    rows = _matrix_rows(n, max_n, "matrix order")
+    return DftMatrix(n=n, entries=np.fromiter(rows, np.dtype((np.complex128, n)), n))
+
+
+def _naive_forward(values: np.ndarray, max_n: int, what: str) -> np.ndarray:
+    """F @ values, one matrix row at a time, so memory stays O(n)."""
+    rows = _matrix_rows(values.size, max_n, what)
+    return np.fromiter((np.dot(row, values) for row in rows), np.complex128, values.size)
 
 
 def dft_naive(signal: Signal, max_n: int = DEFAULT_NAIVE_LIMIT) -> Spectrum:
-    """Forward transform by direct summation: bins[k] = sum_j x[j] * w^(jk).
-
-    Equivalent to the matrix-vector product F @ x but accumulates one
-    matrix row at a time, so memory stays O(n).
-    """
-    n = len(signal)
-    if n > max_n:
-        raise DspError(f"signal length {n} exceeds the naive-path limit {max_n}")
-    powers = _omega_powers(n)
+    """Forward transform by direct summation: bins[k] = sum_j x[j] * w^(jk)."""
     x = signal.samples.astype(np.complex128)
-    j = np.arange(n, dtype=np.int64)
-    bins = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        bins[k] = np.dot(powers[(j * k) % n], x)
-    return Spectrum(bins=bins, sample_rate=signal.sample_rate)
+    return Spectrum(_naive_forward(x, max_n, "signal length"), signal.sample_rate)
 
 
 def _strip_imaginary(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -213,16 +208,11 @@ def _strip_imaginary(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
 def idft_naive(spectrum: Spectrum, max_n: int = DEFAULT_NAIVE_LIMIT) -> Signal:
     """Inverse transform by direct summation, with the 1/n factor.
 
-    samples[k] = (1/n) * sum_j bins[j] * e^(+2*pi*i*j*k/n)
+    samples[k] = (1/n) * sum_j bins[j] * e^(+2*pi*i*j*k/n), taken as
+    conj(F @ conj(bins)) / n, the identity ifft uses.
     """
     n = len(spectrum)
-    if n > max_n:
-        raise DspError(f"spectrum length {n} exceeds the naive-path limit {max_n}")
-    kernel = np.conj(_omega_powers(n))
-    j = np.arange(n, dtype=np.int64)
-    time = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        time[k] = np.dot(kernel[(j * k) % n], spectrum.bins) / n
+    time = np.conj(_naive_forward(np.conj(spectrum.bins), max_n, "spectrum length")) / n
     return Signal(_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
 
 

@@ -1,9 +1,10 @@
 """Minimal WAV reader and writer.
 
 Reads RIFF/WAVE files containing 16-bit PCM or 32-bit IEEE float
-samples, mono or stereo, skipping any other chunks. Stereo input is
-averaged down to mono, so the rest of the toolkit only ever sees 1-d
-signals. Writing always produces a mono file.
+samples, mono or stereo, skipping any other chunks. Either format may
+also be tagged WAVE_FORMAT_EXTENSIBLE with its standard sub-format
+GUID. Stereo input is averaged down to mono, so the rest of the
+toolkit only ever sees 1-d signals. Writing always produces a mono file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ __all__ = [
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+# A WAVE_FORMAT_EXTENSIBLE sub-format GUID is the format code in two bytes, then this.
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 class WavFormatError(DspError):
@@ -83,6 +87,8 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
             audio_format, channels, rate, _byte_rate, _align, bits = (
                 struct.unpack_from("<HHIIHH", body, 0)
             )
+            if audio_format == _EXTENSIBLE and body[26:40] == _SUBFORMAT_TAIL:
+                (audio_format,) = struct.unpack_from("<H", body, 24)
             if audio_format == _PCM:
                 if bits != 16:
                     raise WavFormatError(

@@ -178,6 +178,12 @@ class TestIdentifyNote:
         match = identify_note(446.0)
         assert match.deviation_cents == pytest.approx(23.45, abs=0.01)
 
+    def test_names_a_frequency_rounded_past_the_midpoint(self):
+        # Between A4 and A#4, and over 50 cents from A#4 by rounding alone.
+        match = identify_note(452.8929841231365)
+        assert match.note_name == "A#4"
+        assert -50.0 - 1e-9 <= match.deviation_cents < -50.0
+
     @pytest.mark.parametrize("bad", [0.0, -440.0, float("inf"), float("nan")])
     def test_rejects_non_positive_or_non_finite(self, bad):
         with pytest.raises(DspError, match="positive and finite"):

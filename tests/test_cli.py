@@ -3,6 +3,7 @@
 import contextlib
 import io
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dftkit.cli
-from dftkit import DEFAULT_NAIVE_LIMIT, FFT_LIMIT, PRESET_NAMES, Signal, read_wav, write_wav
+from dftkit import (
+    DEFAULT_NAIVE_LIMIT,
+    FFT_LIMIT,
+    PRESET_NAMES,
+    DspError,
+    Signal,
+    read_wav,
+    write_wav,
+)
 from dftkit.cli import main, run_bench
 
 
@@ -355,6 +364,12 @@ class TestBenchCommand:
         code, _, stderr = run(capsys, "bench", "--sizes", "8", "--repeats", "0")
         assert code == 2
         assert "repeats" in stderr
+
+    def test_run_bench_keeps_the_naive_path_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(DspError, match="naive-path limit"):
+            run_bench([2 * DEFAULT_NAIVE_LIMIT], repeats=1)
+        assert time.perf_counter() - start < 1.0
 
     def test_run_bench_checks_agreement(self):
         rows = run_bench([16, 64], repeats=1)

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 import dftkit.cli
 from dftkit import (
+    DEFAULT_NAIVE_LIMIT,
     EPSILON,
     FFT_LIMIT,
     Band,
+    DftMatrix,
     DspError,
     GainProfile,
     GainVector,
@@ -32,10 +34,13 @@ from dftkit import (
     Spectrum,
     WavMeta,
     build_gain_vector,
+    dft_matrix,
+    dft_naive,
     equalize,
     fft,
     find_peaks,
     identify_note,
+    idft_naive,
     magnitude_spectrum,
     pad_to_pow2,
     preset,
@@ -50,6 +55,7 @@ from dftkit.transform import (
     _fft_array,
     _ifft_array,
     _require_power_of_two,
+    _strip_imaginary,
 )
 from dftkit.wavio import _IEEE_FLOAT, _PCM
 
@@ -118,6 +124,64 @@ def oracle_build_gain_vector(
     if n > 2:
         gains[half:] = gains[1 : (n - 1) // 2 + 1][::-1]
     return GainVector(values=gains, sample_rate=sample_rate)
+
+
+def oracle_omega_powers(n: int) -> np.ndarray:
+    """All n distinct powers of omega(n): table[m] = e^(-2*pi*i*m/n)."""
+    return np.exp(-2j * np.pi * np.arange(n) / n)
+
+
+def oracle_dft_matrix(n: int, max_n: int = DEFAULT_NAIVE_LIMIT) -> DftMatrix:
+    """Materialize the full transform matrix.
+
+    Exponents are reduced modulo n before the power table lookup, so
+    entry (j, k) and entry (k, j) are the same float values and the
+    phase stays exact even for large j*k.
+    """
+    if n < 1:
+        raise DspError(f"transform order must be >= 1, got {n}")
+    if n > max_n:
+        raise DspError(f"matrix order {n} exceeds the naive-path limit {max_n}")
+    powers = oracle_omega_powers(n)
+    j = np.arange(n, dtype=np.int64)
+    entries = np.empty((n, n), dtype=np.complex128)
+    for k in range(n):  # row at a time keeps the index scratch at O(n)
+        entries[k] = powers[(j * k) % n]
+    return DftMatrix(n=n, entries=entries)
+
+
+def oracle_dft_naive(signal: Signal, max_n: int = DEFAULT_NAIVE_LIMIT) -> Spectrum:
+    """Forward transform by direct summation: bins[k] = sum_j x[j] * w^(jk).
+
+    Equivalent to the matrix-vector product F @ x but accumulates one
+    matrix row at a time, so memory stays O(n).
+    """
+    n = len(signal)
+    if n > max_n:
+        raise DspError(f"signal length {n} exceeds the naive-path limit {max_n}")
+    powers = oracle_omega_powers(n)
+    x = signal.samples.astype(np.complex128)
+    j = np.arange(n, dtype=np.int64)
+    bins = np.empty(n, dtype=np.complex128)
+    for k in range(n):
+        bins[k] = np.dot(powers[(j * k) % n], x)
+    return Spectrum(bins=bins, sample_rate=signal.sample_rate)
+
+
+def oracle_idft_naive(spectrum: Spectrum, max_n: int = DEFAULT_NAIVE_LIMIT) -> Signal:
+    """Inverse transform by direct summation, with the 1/n factor.
+
+    samples[k] = (1/n) * sum_j bins[j] * e^(+2*pi*i*j*k/n)
+    """
+    n = len(spectrum)
+    if n > max_n:
+        raise DspError(f"spectrum length {n} exceeds the naive-path limit {max_n}")
+    kernel = np.conj(oracle_omega_powers(n))
+    j = np.arange(n, dtype=np.int64)
+    time = np.empty(n, dtype=np.complex128)
+    for k in range(n):
+        time[k] = np.dot(kernel[(j * k) % n], spectrum.bins) / n
+    return Signal(_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
 
 
 def oracle_bit_reversal(n: int) -> np.ndarray:
@@ -510,6 +574,138 @@ class TestBuildGainVectorOracle:
         values = build_gain_vector(profile, 8, 8000).values
         assert values.tolist() == [0.5, 0.5, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5]
         assert values.tobytes() == oracle_build_gain_vector(profile, 8, 8000).values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Naive transforms: the matrix, the forward and the inverse
+# ---------------------------------------------------------------------------
+
+# Every prime up to 300 is drawn often, and every power of two.
+PRIMES = [p for p in range(2, 301) if all(p % d for d in range(2, int(p**0.5) + 1))]
+NAIVE_ORDERS = st.one_of(
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from(PRIMES),
+    st.sampled_from([1 << p for p in range(9)]),
+)
+NAIVE_KINDS = ["real", "complex", "signed-zeros", "small-integers", "wide"]
+
+
+def naive_input(rng, n, kind):
+    """n complex values; "wide" spans magnitudes from 1e-300 to 1e300."""
+    if kind == "real":
+        parts = np.stack([rng.standard_normal(n), rng.choice([0.0, -0.0], size=n)])
+    elif kind == "complex":
+        parts = rng.standard_normal((2, n))
+    elif kind == "signed-zeros":
+        parts = rng.choice([0.0, -0.0], size=(2, n))
+    elif kind == "small-integers":
+        parts = np.stack(
+            [rng.integers(-3, 4, size=n).astype(np.float64), rng.choice([0.0, -0.0], size=n)]
+        )
+    else:
+        parts = rng.choice([-1.0, 1.0], size=(2, n)) * 10.0 ** rng.uniform(-300, 300, (2, n))
+    return parts[0] + 1j * parts[1]
+
+
+def hermitian(values):
+    """values with bin n-k set to the exact conjugate of bin k, and bin 0 (and n/2) real."""
+    n = values.size
+    out = values.copy()
+    k = np.arange(1, (n + 1) // 2)
+    out[n - k] = np.conj(out[k])
+    out[0] = out[0].real
+    if n % 2 == 0:
+        out[n // 2] = out[n // 2].real
+    return out
+
+
+def naive_outcome(transform, *args):
+    """Raw bytes and shape of the result, or the exception type and message."""
+    try:
+        result = transform(*args)
+    except DspError as exc:
+        return type(exc), str(exc)
+    for field in ("entries", "bins", "samples"):
+        if hasattr(result, field):
+            values = getattr(result, field)
+            return type(result), values.dtype, values.shape, values.tobytes()
+    raise AssertionError(f"unexpected result {result!r}")
+
+
+# The limit is the order itself, one below it, or the default.
+LIMIT_OFFSETS = st.sampled_from([0, -1, None])
+
+
+def limit_for(n, offset):
+    return DEFAULT_NAIVE_LIMIT if offset is None else n + offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=NAIVE_ORDERS, offset=LIMIT_OFFSETS)
+def test_dft_matrix_matches_the_loop_version(n, offset):
+    max_n = limit_for(n, offset)
+    expected = naive_outcome(oracle_dft_matrix, n, max_n)
+    assert naive_outcome(dft_matrix, n, max_n) == expected
+    if offset == 0:
+        assert expected[0] is DftMatrix and expected[2] == (n, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -7])
+@pytest.mark.parametrize("max_n", [-8, 0, DEFAULT_NAIVE_LIMIT])
+def test_dft_matrix_rejects_orders_below_one_like_the_loop_version(n, max_n):
+    expected = naive_outcome(oracle_dft_matrix, n, max_n)
+    assert expected == (DspError, f"transform order must be >= 1, got {n}")
+    assert naive_outcome(dft_matrix, n, max_n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=NAIVE_ORDERS,
+    offset=LIMIT_OFFSETS,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(NAIVE_KINDS),
+)
+def test_dft_naive_matches_the_loop_version(n, offset, seed, kind):
+    samples = naive_input(np.random.default_rng(seed), n, kind).real
+    max_n = limit_for(n, offset)
+    expected = naive_outcome(oracle_dft_naive, Signal(samples, 8000), max_n)
+    assert naive_outcome(dft_naive, Signal(samples, 8000), max_n) == expected
+    if offset == -1:
+        assert expected == (
+            DspError,
+            f"signal length {n} exceeds the naive-path limit {n - 1}",
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=NAIVE_ORDERS,
+    offset=LIMIT_OFFSETS,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(NAIVE_KINDS),
+    symmetric=st.booleans(),
+)
+def test_idft_naive_matches_the_loop_version(n, offset, seed, kind, symmetric):
+    bins = naive_input(np.random.default_rng(seed), n, kind)
+    if symmetric:
+        bins = hermitian(bins)
+    max_n = limit_for(n, offset)
+    expected = naive_outcome(oracle_idft_naive, Spectrum(bins, 8000), max_n)
+    assert naive_outcome(idft_naive, Spectrum(bins, 8000), max_n) == expected
+    if offset == -1:
+        assert expected == (
+            DspError,
+            f"spectrum length {n} exceeds the naive-path limit {n - 1}",
+        )
+
+
+def test_non_hermitian_spectra_raise_like_the_loop_version():
+    rng = np.random.default_rng(77)
+    for n in (2, 3, 64, 257):
+        bins = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = naive_outcome(oracle_idft_naive, Spectrum(bins, 8000))
+        assert expected[0] is DspError and "not Hermitian-symmetric" in expected[1]
+        assert naive_outcome(idft_naive, Spectrum(bins, 8000)) == expected
 
 
 # ---------------------------------------------------------------------------

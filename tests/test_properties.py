@@ -175,4 +175,14 @@ class TestNoteProperties:
             match = identify_note(frequency)
         except DspError:
             return
-        assert match is None or isinstance(match, NoteMatch)
+        assert isinstance(match, NoteMatch)
+
+    @given(st.integers(0, 127), st.integers(-30, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_frequencies_at_semitone_midpoints_name_a_note(self, midi, ulps):
+        frequency = 440.0 * 2.0 ** ((midi + 0.5 - 69) / 12.0)
+        for _ in range(abs(ulps)):
+            frequency = float(np.nextafter(frequency, np.inf if ulps > 0 else 0.0))
+        match = identify_note(frequency)
+        assert isinstance(match, NoteMatch)
+        assert abs(match.deviation_cents) <= 50.0 + 1e-9

@@ -33,6 +33,17 @@ def pcm_fmt(channels=1, rate=8000, bits=16, code=1):
     return struct.pack("<HHIIHH", code, channels, rate, rate * block, block, bits)
 
 
+# Bytes 2-15 of the PCM and IEEE float sub-format GUIDs; bytes 0-1 hold the code.
+GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def extensible_fmt(channels=1, rate=8000, bits=16, code=1, tail=GUID_TAIL):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt body whose sub-format carries code."""
+    plain = pcm_fmt(channels=channels, rate=rate, bits=bits, code=0xFFFE)
+    mask = 0x4 if channels == 1 else 0x3  # front centre, or front left and right
+    return plain + struct.pack("<HHIH", 22, bits, mask, code) + tail
+
+
 def pcm_data(values):
     return np.asarray(values, dtype="<i2").tobytes()
 
@@ -117,6 +128,58 @@ class TestEncoding:
             write_wav(Signal([0.5], 2**30), path, bits_per_sample=32)
         with pytest.raises(DspError, match="too high"):
             write_wav(Signal([0.5], 2**32), path, bits_per_sample=16)
+
+
+# ---------------------------------------------------------------------------
+# WAVE_FORMAT_EXTENSIBLE
+# ---------------------------------------------------------------------------
+
+
+class TestExtensible:
+    @pytest.mark.parametrize(
+        "channels, bits, code, payload",
+        [
+            (2, 16, 1, pcm_data([16384, 0, -16384, -16384, 32767, -32768])),
+            (1, 32, 3, np.array([0.5, -0.25, 1.5, -0.0], dtype="<f4").tobytes()),
+        ],
+        ids=["stereo-pcm16", "mono-float32"],
+    )
+    def test_decodes_like_the_plain_tag(self, tmp_path, channels, bits, code, payload):
+        plain_path, tagged_path = tmp_path / "plain.wav", tmp_path / "tagged.wav"
+        plain_fmt = pcm_fmt(channels=channels, bits=bits, code=code)
+        tagged_fmt = extensible_fmt(channels=channels, bits=bits, code=code)
+        plain_path.write_bytes(build_wav([(b"fmt ", plain_fmt), (b"data", payload)]))
+        tagged_path.write_bytes(build_wav([(b"fmt ", tagged_fmt), (b"data", payload)]))
+        plain, plain_meta = read_wav(plain_path)
+        tagged, tagged_meta = read_wav(tagged_path)
+        assert tagged.samples.tobytes() == plain.samples.tobytes()
+        assert tagged.sample_rate == plain.sample_rate
+        assert tagged_meta == plain_meta
+
+    def test_other_guid_tail_is_unsupported(self, tmp_path):
+        path = tmp_path / "guid.wav"
+        tail = GUID_TAIL[:-1] + b"\x72"
+        path.write_bytes(
+            build_wav([(b"fmt ", extensible_fmt(tail=tail)), (b"data", pcm_data([1]))])
+        )
+        with pytest.raises(WavFormatError, match="unsupported audio format code 65534 "):
+            read_wav(path)
+
+    def test_unsupported_sub_format_code(self, tmp_path):
+        path = tmp_path / "alaw.wav"
+        path.write_bytes(
+            build_wav([(b"fmt ", extensible_fmt(code=6)), (b"data", pcm_data([1]))])
+        )
+        with pytest.raises(WavFormatError, match="unsupported audio format code 6 "):
+            read_wav(path)
+
+    @pytest.mark.parametrize("size", [16, 18, 24, 25, 26, 39])
+    def test_short_extensible_fmt_is_unsupported(self, tmp_path, size):
+        path = tmp_path / "short.wav"
+        body = extensible_fmt()[:size]
+        path.write_bytes(build_wav([(b"fmt ", body), (b"data", pcm_data([1]))]))
+        with pytest.raises(WavFormatError, match="unsupported audio format code 65534 "):
+            read_wav(path)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +382,21 @@ class TestMalformedFiles:
 
 @st.composite
 def valid_wavs(draw):
-    """A small, valid PCM-16 or float-32 file of at most 256 frames."""
+    """A small, valid PCM-16 or float-32 file of at most 256 frames.
+
+    Its fmt chunk carries the plain format tag or the EXTENSIBLE one.
+    """
     channels = draw(st.sampled_from([1, 2]))
     frames = draw(st.integers(min_value=1, max_value=256))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if draw(st.booleans()):
-        fmt = pcm_fmt(channels=channels)
+        bits, code = 16, 1
         payload = pcm_data(rng.integers(-32768, 32768, frames * channels))
     else:
-        fmt = pcm_fmt(channels=channels, bits=32, code=3)
+        bits, code = 32, 3
         payload = rng.uniform(-1.5, 1.5, frames * channels).astype("<f4").tobytes()
+    header = draw(st.sampled_from([pcm_fmt, extensible_fmt]))
+    fmt = header(channels=channels, bits=bits, code=code)
     return build_wav([(b"fmt ", fmt), (b"data", payload)])
 
 
