@@ -98,7 +98,16 @@ def find_peaks(
 
     Candidates closer than min_separation_hz to an already-kept larger
     peak are dropped (ties keep the lower bin). The result is sorted by
-    ascending frequency and is deterministic for a given input.
+    ascending frequency and is deterministic for a given input. This is
+    the contract; _peak_columns is its column form.
+    """
+    return list(map(Peak, *_peak_columns(mag, relative_threshold, min_separation_hz)))
+
+
+def _peak_columns(
+    mag: MagnitudeSpectrum, relative_threshold: float, min_separation_hz: float
+) -> tuple[list[int], list[float], list[float]]:
+    """find_peaks as columns: the kept bins, frequencies and magnitudes.
 
     Rounded frequency gaps grow with the distance in bins, so only candidates
     with an adjacent one too close can drop or be dropped. Taken by falling
@@ -106,15 +115,13 @@ def find_peaks(
     on each side. At most one kept peak per side reaches a candidate: linear.
     """
     if not 0.0 < relative_threshold <= 1.0:
-        raise DspError(
-            f"relative threshold must be in (0, 1], got {relative_threshold}"
-        )
+        raise DspError(f"relative threshold must be in (0, 1], got {relative_threshold}")
     if not min_separation_hz >= 0.0:
         raise DspError(f"minimum separation must be >= 0, got {min_separation_hz}")
     values = mag.magnitudes
     ceiling = float(values.max(initial=0.0))
     if ceiling <= 0.0:
-        return []
+        return [], [], []
     floor = relative_threshold * ceiling
 
     # Edge bins have no neighbour on their open side and count as maxima there.
@@ -140,7 +147,7 @@ def find_peaks(
                     j += step
     keep[crowded] = free
     kept = index[keep]
-    return list(map(Peak, kept.tolist(), freqs[keep].tolist(), values[kept].tolist()))
+    return kept.tolist(), freqs[keep].tolist(), values[kept].tolist()
 
 
 def identify_note(frequency_hz: float) -> NoteMatch:
@@ -148,32 +155,47 @@ def identify_note(frequency_hz: float) -> NoteMatch:
 
     |deviation_cents| passes 50 only by rounding, at the midpoint of two
     notes. Raises DspError when the reference pitch is not a positive
-    normal float, as at the ends of the float range.
+    normal float, as at the ends of the float range. This is the
+    contract; _note_fields is its column form.
     """
     if not math.isfinite(frequency_hz) or frequency_hz <= 0.0:
         raise DspError(f"frequency must be positive and finite, got {frequency_hz}")
-    # A ratio that underflows to 0 stands in as the smallest subnormal, rejected below.
-    semitones = round(12.0 * math.log2(frequency_hz / A4_HZ or 5e-324))
-    midi = 69 + semitones
-    reference = A4_HZ * 2.0 ** (semitones / 12.0)
-    if not 2.2250738585072014e-308 <= reference <= 1.7976931348623157e308:
-        raise DspError(f"frequency {frequency_hz} Hz has no normal reference pitch")
-    cents = 1200.0 * math.log2(frequency_hz / reference)
-    name = f"{NOTE_NAMES[midi % 12]}{midi // 12 - 1}"
-    return NoteMatch(note_name=name, reference_hz=reference, deviation_cents=cents)
+    return NoteMatch(*_note_fields([frequency_hz])[0])
+
+
+def _note_fields(freqs: list[float]) -> list[tuple[str, float, float] | None]:
+    """identify_note's column form: (name, reference_hz, cents) per frequency.
+
+    None at exactly 0 Hz, the DC bin. Frequencies must be finite and >= 0, as
+    _peak_columns yields them. Each semitone's name and reference are made once per call.
+    """
+    notes: dict[int, tuple[str, float]] = {}
+    fields: list[tuple[str, float, float] | None] = []
+    for f in freqs:
+        if f == 0.0:
+            fields.append(None)
+            continue
+        # A ratio that underflows to 0 stands in as the smallest subnormal, rejected below.
+        semitones = round(12.0 * math.log2(f / A4_HZ or 5e-324))
+        note = notes.get(semitones)
+        if note is None:
+            midi = 69 + semitones
+            reference = A4_HZ * 2.0 ** (semitones / 12.0)
+            if not 2.2250738585072014e-308 <= reference <= 1.7976931348623157e308:
+                raise DspError(f"frequency {f} Hz has no normal reference pitch")
+            note = notes[semitones] = f"{NOTE_NAMES[midi % 12]}{midi // 12 - 1}", reference
+        fields.append((note[0], note[1], 1200.0 * math.log2(f / note[1])))
+    return fields
 
 
 def _analyze(
     signal: Signal, relative_threshold: float, min_separation_hz: float, pad: bool
-) -> tuple[MagnitudeSpectrum, list[tuple[Peak, NoteMatch | None]]]:
-    """The analyze pipeline, also returning the spectrum its peaks came from."""
+) -> tuple[MagnitudeSpectrum, list[int], list[float], list[float], list]:
+    """The analyze pipeline: the spectrum, then the peaks' columns and note fields."""
     prepared = pad_to_pow2(signal) if pad else signal
     mag = magnitude_spectrum(fft(prepared))
-    peaks = find_peaks(mag, relative_threshold, min_separation_hz)
-    return mag, [
-        (peak, identify_note(peak.frequency_hz) if peak.frequency_hz > 0.0 else None)
-        for peak in peaks
-    ]
+    bins, freqs, mags = _peak_columns(mag, relative_threshold, min_separation_hz)
+    return mag, bins, freqs, mags, _note_fields(freqs)
 
 
 def analyze(
@@ -188,7 +210,9 @@ def analyze(
     With pad=True the signal is zero-extended to a power of two first;
     with pad=False the length must already be a power of two.
     """
-    return _analyze(signal, relative_threshold, min_separation_hz, pad)[1]
+    _, bins, freqs, mags, notes = _analyze(signal, relative_threshold, min_separation_hz, pad)
+    matches = [NoteMatch(*note) if note else None for note in notes]
+    return list(zip(map(Peak, bins, freqs, mags), matches))
 
 
 def write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:

@@ -11,7 +11,6 @@ malformed files, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -59,7 +58,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.separation_hz >= 0.0:
         raise UsageError(f"--separation-hz must be >= 0, got {args.separation_hz}")
     signal, meta = read_wav(args.input)
-    mag, results = _analyze(signal, args.threshold, args.separation_hz, not args.no_pad)
+    columns = _analyze(signal, args.threshold, args.separation_hz, not args.no_pad)
+    mag, _, freqs, mags, notes = columns
     if args.csv:
         write_spectrum_csv(mag, args.csv)
 
@@ -67,18 +67,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"{args.input}: {meta.sample_rate} Hz, {meta.frame_count} frames, "
         f"transform length {mag.source_n}, bin width {mag.bin_width_hz:.5g} Hz"
     )
-    if not results:
+    if not freqs:
         print("no peaks above threshold")
         return 0
     print(f"{'frequency_hz':>14} {'magnitude':>14} {'note':>6} {'cents':>8}")
-    for start in range(0, len(results), _ROWS_PER_WRITE):
+    for start in range(0, len(freqs), _ROWS_PER_WRITE):
+        stop = start + _ROWS_PER_WRITE
         sys.stdout.write(
             "".join(
-                "%14.4f %14.4f %6s %+8.2f\n"
-                % (peak.frequency_hz, peak.magnitude, match.note_name, match.deviation_cents)
-                if match
-                else "%14.4f %14.4f %6s %8s\n" % (peak.frequency_hz, peak.magnitude, "-", "-")
-                for peak, match in results[start : start + _ROWS_PER_WRITE]
+                "%14.4f %14.4f %6s %+8.2f\n" % (f, m, note[0], note[2])
+                if note
+                else "%14.4f %14.4f %6s %8s\n" % (f, m, "-", "-")
+                for f, m, note in zip(freqs[start:stop], mags[start:stop], notes[start:stop])
             )
         )
     return 0
@@ -164,13 +164,7 @@ def run_bench(sizes: list[int], repeats: int = 5) -> list[BenchRow]:
             start = time.perf_counter()
             fft(signal)
             fft_times.append(time.perf_counter() - start)
-        rows.append(
-            BenchRow(
-                n=n,
-                naive_s=statistics.median(naive_times),
-                fft_s=statistics.median(fft_times),
-            )
-        )
+        rows.append(BenchRow(n, float(np.median(naive_times)), float(np.median(fft_times))))
     return rows
 
 
@@ -287,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's failed allocations are MemoryErrors too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

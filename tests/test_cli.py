@@ -2,14 +2,21 @@
 
 import contextlib
 import io
+import os
+import statistics
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._exceptions import _ArrayMemoryError
 
 import dftkit.cli
 from dftkit import (
@@ -378,6 +385,18 @@ class TestBenchCommand:
             assert row.naive_s > 0 and row.fft_s > 0
             assert row.ratio == pytest.approx(row.naive_s / row.fft_s)
 
+    @pytest.mark.parametrize("repeats", [1, 2, 5, 6])
+    def test_run_bench_reports_the_median_times(self, monkeypatch, repeats):
+        # Each repeat reads the clock four times: around dft_naive, then around fft.
+        stamps = np.cumsum(np.random.default_rng(repeats).uniform(1e-6, 1e-2, 4 * repeats)).tolist()
+        clock = types.SimpleNamespace(perf_counter=iter(stamps).__next__)
+        monkeypatch.setattr(dftkit.cli, "time", clock)
+        (row,) = run_bench([8], repeats=repeats)
+        naive = [b - a for a, b in zip(stamps[0::4], stamps[1::4])]
+        fast = [b - a for a, b in zip(stamps[2::4], stamps[3::4])]
+        assert type(row.naive_s) is float and type(row.fft_s) is float
+        assert (row.naive_s, row.fft_s) == (statistics.median(naive), statistics.median(fast))
+
 
 # ---------------------------------------------------------------------------
 # top level
@@ -394,6 +413,40 @@ class TestTopLevel:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "analyze" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError(), "out of memory"),
+            (
+                _ArrayMemoryError((2**40,), np.dtype(np.float64)),
+                "Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+                "and data type float64",
+            ),
+        ],
+    )
+    def test_out_of_memory_is_a_runtime_error(self, capsys, monkeypatch, error, message):
+        def out_of_memory(args):
+            raise error
+
+        monkeypatch.setattr(dftkit.cli, "cmd_analyze", out_of_memory)
+        assert run(capsys, "analyze", "in.wav") == (1, "", f"error: {message}\n")
+
+    def test_importing_the_cli_leaves_statistics_unloaded(self):
+        src = str(Path(dftkit.cli.__file__).parents[1])
+        probe = (
+            "import sys, dftkit.cli; "
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

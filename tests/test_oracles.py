@@ -10,16 +10,19 @@ so it is held to tolerances fixed from float64 rounding instead.
 import contextlib
 import csv
 import io
+import math
 import struct
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dftkit.analysis
 import dftkit.cli
 from dftkit import (
+    A4_HZ,
     DEFAULT_NAIVE_LIMIT,
     EPSILON,
     FFT_LIMIT,
@@ -28,11 +31,14 @@ from dftkit import (
     DspError,
     GainProfile,
     GainVector,
+    NOTE_NAMES,
     MagnitudeSpectrum,
+    NoteMatch,
     Peak,
     Signal,
     Spectrum,
     WavMeta,
+    analyze,
     build_gain_vector,
     dft_matrix,
     dft_naive,
@@ -48,7 +54,7 @@ from dftkit import (
     write_spectrum_csv,
     write_wav,
 )
-from dftkit.analysis import _ROWS_PER_WRITE
+from dftkit.analysis import _ROWS_PER_WRITE, _note_fields
 from dftkit.cli import UsageError, main
 from dftkit.transform import (
     _bit_reversal,
@@ -108,6 +114,26 @@ def oracle_find_peaks(
         )
         for k in kept
     ]
+
+
+def oracle_identify_note(frequency_hz: float) -> NoteMatch:
+    """Snap a frequency to the nearest equal-temperament note.
+
+    |deviation_cents| passes 50 only by rounding, at the midpoint of two
+    notes. Raises DspError when the reference pitch is not a positive
+    normal float, as at the ends of the float range.
+    """
+    if not math.isfinite(frequency_hz) or frequency_hz <= 0.0:
+        raise DspError(f"frequency must be positive and finite, got {frequency_hz}")
+    # A ratio that underflows to 0 stands in as the smallest subnormal, rejected below.
+    semitones = round(12.0 * math.log2(frequency_hz / A4_HZ or 5e-324))
+    midi = 69 + semitones
+    reference = A4_HZ * 2.0 ** (semitones / 12.0)
+    if not 2.2250738585072014e-308 <= reference <= 1.7976931348623157e308:
+        raise DspError(f"frequency {frequency_hz} Hz has no normal reference pitch")
+    cents = 1200.0 * math.log2(frequency_hz / reference)
+    name = f"{NOTE_NAMES[midi % 12]}{midi // 12 - 1}"
+    return NoteMatch(note_name=name, reference_hz=reference, deviation_cents=cents)
 
 
 def oracle_build_gain_vector(
@@ -274,7 +300,7 @@ def oracle_cmd_analyze(args) -> int:
         return 0
     print(f"{'frequency_hz':>14} {'magnitude':>14} {'note':>6} {'cents':>8}")
     for peak in peaks:
-        match = identify_note(peak.frequency_hz) if peak.frequency_hz > 0 else None
+        match = oracle_identify_note(peak.frequency_hz) if peak.frequency_hz > 0 else None
         note = match.note_name if match else "-"
         cents = f"{match.deviation_cents:+.2f}" if match else "-"
         print(
@@ -1036,6 +1062,115 @@ def test_peak_table_across_write_chunks(tmp_path):
     for rows_per_write in (1, 2, 7, _ROWS_PER_WRITE):
         with mock.patch.object(dftkit.cli, "_ROWS_PER_WRITE", rows_per_write):
             assert run_analyze(dftkit.cli.cmd_analyze, argv) == expected
+
+
+def test_analyze_command_builds_no_peak_or_note_objects(tmp_path, monkeypatch):
+    signal = Signal(np.random.default_rng(11).uniform(-1.0, 1.0, 2**14), 44100)
+    wav = tmp_path / "noise.wav"
+    write_wav(signal, wav)
+    argv = ["analyze", str(wav), "--threshold", "0.01", "--separation-hz", "0"]
+    expected = run_analyze(oracle_cmd_analyze, argv)
+    pairs = analyze(signal, 0.01, 0.0)  # the library still hands out the objects
+    assert len(pairs) > 2 * _ROWS_PER_WRITE and {type(peak) for peak, _ in pairs} == {Peak}
+    assert {type(note) for _, note in pairs} <= {NoteMatch, type(None)}
+    assert NoteMatch in {type(note) for _, note in pairs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analyze command built a Peak or a NoteMatch")
+
+    monkeypatch.setattr(dftkit.analysis, "Peak", refuse)
+    monkeypatch.setattr(dftkit.analysis, "NoteMatch", refuse)
+    assert run_analyze(dftkit.cli.cmd_analyze, argv) == expected
+    assert expected[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Peaks and notes carried as columns
+# ---------------------------------------------------------------------------
+
+
+def exact_values(values):
+    """Each value with its type, and floats as hex, so every bit counts."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def exact(obj):
+    """A dataclass, or None, as an exact record of its type and fields."""
+    return obj and (type(obj), exact_values(vars(obj).values()))
+
+
+def oracle_analyze(signal: Signal, threshold: float, separation: float):
+    """analyze's (Peak, NoteMatch | None) pairs, from the oracles."""
+    mag = magnitude_spectrum(fft(pad_to_pow2(signal)))
+    return [
+        (peak, oracle_identify_note(peak.frequency_hz) if peak.frequency_hz > 0 else None)
+        for peak in oracle_find_peaks(mag, threshold, separation)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["silence", "dc", "tones", "noise"]),
+    length=st.integers(min_value=1, max_value=1024),
+    rate=st.one_of(RATES, st.integers(min_value=1, max_value=96000)),
+    threshold=st.one_of(
+        st.sampled_from([0.01, 0.05, 0.5, 1.0]), st.floats(min_value=0.01, max_value=1.0)
+    ),
+    separation=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=500.0)),
+)
+def test_analyze_matches_the_peak_and_note_oracles(
+    seed, kind, length, rate, threshold, separation
+):
+    signal = Signal(analyze_input(np.random.default_rng(seed), kind, length), rate)
+    actual = analyze(signal, threshold, separation)
+    expected = oracle_analyze(signal, threshold, separation)
+    assert [(exact(p), exact(n)) for p, n in actual] == [
+        (exact(p), exact(n)) for p, n in expected
+    ]
+
+
+def ulps_from(x: float, ulps: int) -> float:
+    """The float ulps representable steps above positive x (below when negative)."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return struct.unpack("<d", struct.pack("<q", bits + ulps))[0]
+
+
+# Where rounding to the nearest semitone flips: midway between two MIDI notes.
+NEAR_MIDPOINTS = st.builds(
+    lambda midi, ulps: ulps_from(A4_HZ * 2.0 ** ((midi + 0.5 - 69) / 12.0), ulps),
+    st.one_of(st.integers(min_value=0, max_value=127), st.integers(-12000, 12200)),
+    st.integers(min_value=-30, max_value=30),
+)
+NOTE_FREQUENCIES = st.one_of(
+    st.floats(min_value=1.0, max_value=30000.0),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    NEAR_MIDPOINTS,
+    st.sampled_from([0.0, 5e-324, 1.79e308]),
+)
+
+
+def note_outcome(fields):
+    """fields() as exact records, or the DspError message it raised."""
+    try:
+        rows = fields()
+    except DspError as exc:
+        return str(exc)
+    return [row and exact_values(row) for row in rows]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(NOTE_FREQUENCIES, min_size=1, max_size=40))
+@example([5e-324])  # reference pitches past the ends of the float range
+@example([1.79e308])
+@example([0.0, 440.0, 440.0, 1.79e308])
+def test_note_fields_match_the_identify_note_oracle(freqs):
+    def fields_of(identify):
+        return lambda: [vars(identify(f)).values() if f > 0 else None for f in freqs]
+
+    expected = note_outcome(fields_of(oracle_identify_note))
+    assert note_outcome(lambda: _note_fields(freqs)) == expected
+    assert note_outcome(fields_of(identify_note)) == expected
 
 
 # ---------------------------------------------------------------------------
