@@ -24,7 +24,7 @@ def sine(
     """
     if not math.isfinite(frequency_hz) or frequency_hz < 0.0:
         raise DspError(f"frequency must be finite and >= 0, got {frequency_hz}")
-    if sample_rate < 1:
+    if not math.isfinite(sample_rate) or sample_rate < 1:
         raise DspError(f"sample rate must be >= 1, got {sample_rate}")
     if frequency_hz >= sample_rate / 2.0:
         raise DspError(

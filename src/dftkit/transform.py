@@ -64,10 +64,24 @@ class DspError(ValueError):
 
 
 def _as_positive_int(value, what: str) -> int:
-    coerced = int(value)
+    try:
+        coerced = int(value)
+    except (OverflowError, ValueError):  # inf and NaN have no integer value
+        coerced = 0
     if coerced != value or coerced <= 0:
         raise DspError(f"{what} must be a positive integer, got {value!r}")
     return coerced
+
+
+def _check_fields(obj, what: str, unit: str, dtype) -> None:
+    """Coerce and check a frozen Signal's or Spectrum's `unit`s array and sample rate."""
+    values = np.asarray(getattr(obj, unit + "s"), dtype=dtype)
+    if values.ndim != 1 or values.size == 0:
+        raise DspError(f"{what} must be a 1-d sequence with at least one {unit}")
+    if not np.all(np.isfinite(values)):
+        raise DspError(f"{what} {unit}s must all be finite")
+    object.__setattr__(obj, unit + "s", values)
+    object.__setattr__(obj, "sample_rate", _as_positive_int(obj.sample_rate, "sample rate"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +96,7 @@ class Signal:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size == 0:
-            raise DspError("signal must be a 1-d sequence with at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise DspError("signal samples must all be finite")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(
-            self, "sample_rate", _as_positive_int(self.sample_rate, "sample rate")
-        )
+        _check_fields(self, "signal", "sample", np.float64)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -112,15 +118,7 @@ class Spectrum:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        if bins.ndim != 1 or bins.size == 0:
-            raise DspError("spectrum must be a 1-d sequence with at least one bin")
-        if not np.all(np.isfinite(bins)):
-            raise DspError("spectrum bins must all be finite")
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(
-            self, "sample_rate", _as_positive_int(self.sample_rate, "sample rate")
-        )
+        _check_fields(self, "spectrum", "bin", np.complex128)
 
     def __len__(self) -> int:
         return int(self.bins.size)

@@ -29,6 +29,8 @@ _IEEE_FLOAT = 3
 _EXTENSIBLE = 0xFFFE
 # A WAVE_FORMAT_EXTENSIBLE sub-format GUID is the format code in two bytes, then this.
 _SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+# format code: (bits per sample, stored dtype, WavMeta.encoding, name in messages)
+_ENCODINGS = {_PCM: (16, "<i2", "pcm", "PCM"), _IEEE_FLOAT: (32, "<f4", "float", "float")}
 
 
 class WavFormatError(DspError):
@@ -55,7 +57,11 @@ def downmix_mono(channels: np.ndarray) -> np.ndarray:
         return array.copy()
     if array.ndim != 2:
         raise DspError(f"expected a 1-d or (frames, channels) array, got shape {array.shape}")
-    return array.mean(axis=1)
+    mono = array[:, 0] + 0.0  # mean's sum starts from +0.0, so -0.0 rows average to +0.0
+    for column in range(1, array.shape[1]):
+        mono += array[:, column]
+    mono /= array.shape[1]
+    return mono
 
 
 def read_wav(path) -> tuple[Signal, WavMeta]:
@@ -65,21 +71,22 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
     [-1, 1]. A trailing partial frame is dropped; a truncated data chunk is an error.
     """
     with open(path, "rb") as handle:
-        blob = handle.read()
+        blob = memoryview(handle.read())  # chunk bodies below are views, not copies
 
     if len(blob) < 12 or blob[0:4] != b"RIFF":
         raise WavFormatError("not a RIFF file (missing RIFF magic)")
     if blob[8:12] != b"WAVE":
         raise WavFormatError("RIFF file is not WAVE format")
 
-    fmt: tuple[int, int, int, int] | None = None
-    data: bytes | None = None
+    fmt: tuple[int, int, int] | None = None
+    data: memoryview | None = None
     offset = 12
     while offset + 8 <= len(blob):
-        chunk_id = blob[offset : offset + 4]
-        (size,) = struct.unpack_from("<I", blob, offset + 4)
+        chunk_id, size = struct.unpack_from("<4sI", blob, offset)
         body = blob[offset + 8 : offset + 8 + size]
         if chunk_id == b"fmt ":
+            if data is not None:
+                raise WavFormatError("fmt chunk appears after data chunk")
             if len(body) < 16:
                 raise WavFormatError(
                     f"fmt chunk too short ({len(body)} bytes, need at least 16)"
@@ -89,20 +96,16 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
             )
             if audio_format == _EXTENSIBLE and body[26:40] == _SUBFORMAT_TAIL:
                 (audio_format,) = struct.unpack_from("<H", body, 24)
-            if audio_format == _PCM:
-                if bits != 16:
-                    raise WavFormatError(
-                        f"unsupported PCM bit depth {bits} (only 16-bit PCM is supported)"
-                    )
-            elif audio_format == _IEEE_FLOAT:
-                if bits != 32:
-                    raise WavFormatError(
-                        f"unsupported float bit depth {bits} (only 32-bit float is supported)"
-                    )
-            else:
+            if audio_format not in _ENCODINGS:
                 raise WavFormatError(
                     f"unsupported audio format code {audio_format} "
                     "(PCM=1 and IEEE float=3 are supported)"
+                )
+            supported, _dtype, _encoding, name = _ENCODINGS[audio_format]
+            if bits != supported:
+                raise WavFormatError(
+                    f"unsupported {name} bit depth {bits} "
+                    f"(only {supported}-bit {name} is supported)"
                 )
             if channels not in (1, 2):
                 raise WavFormatError(
@@ -110,7 +113,7 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
                 )
             if rate < 1:
                 raise WavFormatError(f"invalid sample rate {rate}")
-            fmt = (audio_format, channels, rate, bits)
+            fmt = (audio_format, channels, rate)
         elif chunk_id == b"data":
             if fmt is None:
                 raise WavFormatError("data chunk appears before fmt chunk")
@@ -125,24 +128,20 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
     if data is None:
         raise WavFormatError("missing data chunk")
 
-    audio_format, channels, rate, bits = fmt
-    frame_size = (bits // 8) * channels
-    frames = len(data) // frame_size
+    audio_format, channels, rate = fmt
+    bits, dtype, encoding, _name = _ENCODINGS[audio_format]
+    frames = len(data) // (bits // 8 * channels)
     if frames == 0:
         raise WavFormatError("data chunk contains no complete frames")
-    usable = frames * frame_size
 
+    with np.errstate(invalid="ignore"):  # a NaN payload is rejected just below
+        samples = np.frombuffer(data, dtype, frames * channels).astype(np.float64)
     if audio_format == _PCM:
-        raw = np.frombuffer(data[:usable], dtype="<i2").astype(np.float64)
-        samples = raw / 32768.0
-        encoding = "pcm"
+        samples /= 32768.0  # exact, and always inside [-1, 1)
     else:
-        with np.errstate(invalid="ignore"):  # a NaN payload is rejected just below
-            raw = np.frombuffer(data[:usable], dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(raw)):
+        if not np.all(np.isfinite(samples)):
             raise WavFormatError("float data chunk contains non-finite samples")
-        samples = np.clip(raw, -1.0, 1.0)
-        encoding = "float"
+        np.clip(samples, -1.0, 1.0, out=samples)
 
     mono = downmix_mono(samples.reshape(frames, channels))
     meta = WavMeta(
@@ -163,10 +162,12 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
     decode scale, so a write-read round trip moves any sample by at most
     1/32768.
     """
-    if bits_per_sample not in (16, 32):
-        raise DspError(
-            f"unsupported bit depth {bits_per_sample} (use 16 for PCM or 32 for float)"
-        )
+    for code, (bits, dtype, encoding, _name) in _ENCODINGS.items():
+        if bits == bits_per_sample:
+            break
+    else:
+        uses = " or ".join(f"{bits} for {name}" for bits, _, _, name in _ENCODINGS.values())
+        raise DspError(f"unsupported bit depth {bits_per_sample} (use {uses})")
     channels = 1
     rate = signal.sample_rate
     block_align = channels * bits_per_sample // 8
@@ -177,31 +178,22 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
     if float(np.max(np.abs(samples))) > 1.0:
         raise DspError("samples exceed [-1, 1]; clamp or normalize before writing")
 
-    fields = (channels, rate, byte_rate, block_align, bits_per_sample)
-    if bits_per_sample == 16:
-        quantized = np.clip(np.round(samples * 32768.0), -32768, 32767)
-        encoding = "pcm"
-        chunks = [
-            (b"fmt ", struct.pack("<HHIIHH", _PCM, *fields)),
-            (b"data", quantized.astype("<i2").tobytes()),
-        ]
+    fmt = struct.pack("<HHIIHH", code, channels, rate, byte_rate, block_align, bits_per_sample)
+    if code == _PCM:
+        samples = np.clip(np.round(samples * 32768.0), -32768, 32767)
+        chunks = [(b"fmt ", fmt)]
     else:
         # non-PCM fmt carries a zero-length extension and a fact chunk
-        encoding = "float"
-        chunks = [
-            (b"fmt ", struct.pack("<HHIIHHH", _IEEE_FLOAT, *fields, 0)),
-            (b"fact", struct.pack("<I", len(signal))),
-            (b"data", samples.astype("<f4").tobytes()),
-        ]
+        chunks = [(b"fmt ", fmt + bytes(2)), (b"fact", struct.pack("<I", len(signal)))]
+    chunks.append((b"data", samples.astype(dtype).tobytes()))
 
-    riff_size = 4 + sum(8 + len(body) + (len(body) & 1) for _, body in chunks)
+    # every body here has even length, so no chunk needs a pad byte
+    riff_size = 4 + sum(8 + len(body) for _, body in chunks)
     with open(path, "wb") as handle:
         handle.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
         for chunk_id, body in chunks:
             handle.write(struct.pack("<4sI", chunk_id, len(body)))
             handle.write(body)
-            if len(body) & 1:
-                handle.write(b"\x00")
 
     return WavMeta(
         channels=channels,

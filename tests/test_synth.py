@@ -38,6 +38,11 @@ class TestSine:
         with pytest.raises(DspError, match="frequency"):
             sine(-440.0)
 
+    def test_rejects_bad_rate(self):
+        for rate in (0, -44100, np.inf, np.nan):
+            with pytest.raises(DspError, match="sample rate must be >= 1"):
+                sine(440.0, sample_rate=rate)
+
     def test_rejects_bad_duration(self):
         with pytest.raises(DspError, match="duration"):
             sine(440.0, duration_s=0.0)

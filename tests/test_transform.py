@@ -60,10 +60,9 @@ class TestSignal:
             Signal(np.zeros((2, 2)), 8000)
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(DspError, match="sample rate"):
-            Signal([1.0], 0)
-        with pytest.raises(DspError, match="sample rate"):
-            Signal([1.0], -44100)
+        for rate in (0, -44100, np.inf, np.nan):
+            with pytest.raises(DspError, match="sample rate must be a positive integer"):
+                Signal([1.0], rate)
 
 
 class TestSpectrum:
@@ -79,6 +78,11 @@ class TestSpectrum:
     def test_rejects_non_finite(self):
         with pytest.raises(DspError, match="finite"):
             Spectrum([complex("nan")], 8000)
+
+    def test_rejects_bad_rate(self):
+        for rate in (0, -44100, np.inf, np.nan):
+            with pytest.raises(DspError, match="sample rate must be a positive integer"):
+                Spectrum([1.0], rate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Unit tests for WAV encoding, decoding, and malformed-file handling."""
 
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dftkit import (
     DspError,
@@ -230,6 +232,22 @@ class TestDownmix:
         with pytest.raises(DspError, match="shape"):
             downmix_mono(np.zeros((2, 2, 2)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda channels: arrays(
+                np.float64,
+                st.tuples(st.integers(min_value=1, max_value=40), st.just(channels)),
+                elements=st.floats() | st.sampled_from([-0.0, np.inf, -np.inf, np.nan]),
+            )
+        )
+    )
+    def test_equals_the_mean_bit_for_bit(self, frames):
+        with np.errstate(all="ignore"):  # inf - inf and overflow warn in both
+            expected = np.asarray(frames, np.float64).mean(axis=1)
+            actual = downmix_mono(frames)
+        assert actual.tobytes() == expected.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Container parsing
@@ -305,6 +323,15 @@ class TestMalformedFiles:
         with pytest.raises(WavFormatError, match="before fmt"):
             read_wav(path)
 
+    def test_fmt_after_data(self, tmp_path):
+        path = tmp_path / "late.wav"
+        stereo, mono_float = pcm_fmt(channels=2), pcm_fmt(bits=32, code=3)
+        path.write_bytes(
+            build_wav([(b"fmt ", stereo), (b"data", pcm_data([0, 0])), (b"fmt ", mono_float)])
+        )
+        with pytest.raises(WavFormatError, match="fmt chunk appears after data chunk"):
+            read_wav(path)
+
     def test_short_fmt(self, tmp_path):
         path = tmp_path / "shortfmt.wav"
         path.write_bytes(build_wav([(b"fmt ", b"\x01\x00\x01\x00")]))
@@ -373,6 +400,34 @@ class TestMalformedFiles:
             warnings.simplefilter("error")
             with pytest.raises(WavFormatError, match="non-finite"):
                 read_wav(path)
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "channels, bits, code, dtype",
+    [(1, 16, 1, "<i2"), (2, 32, 3, "<f4")],
+    ids=["mono-pcm16", "stereo-float32"],
+)
+def test_read_peak_memory_is_the_file_plus_the_decoded_frames(
+    tmp_path, channels, bits, code, dtype
+):
+    """Past the file's bytes, a read holds the float64 frames, the mono result and a mask."""
+    rng = np.random.default_rng(2026)
+    payload = (rng.uniform(-1.0, 1.0, 2**16 * channels) * 32767).astype(dtype).tobytes()
+    path = tmp_path / "big.wav"
+    fmt = pcm_fmt(channels=channels, bits=bits, code=code)
+    path.write_bytes(build_wav([(b"fmt ", fmt), (b"data", payload)]))
+    tracemalloc.start()
+    try:
+        signal, _ = read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - path.stat().st_size <= (channels + 1.25) * signal.samples.nbytes
 
 
 # ---------------------------------------------------------------------------
