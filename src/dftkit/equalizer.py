@@ -88,7 +88,7 @@ def build_gain_vector(profile: GainProfile, n: int, sample_rate: int) -> GainVec
     """
     if n < 1:
         raise DspError(f"transform length must be >= 1, got {n}")
-    if sample_rate < 1:
+    if not 1 <= sample_rate < math.inf:
         raise DspError(f"sample rate must be >= 1, got {sample_rate}")
     half = n // 2 + 1
     gains = np.ones(n, dtype=np.float64)
@@ -97,8 +97,7 @@ def build_gain_vector(profile: GainProfile, n: int, sample_rate: int) -> GainVec
         low = bisect.bisect_left(range(half), band.low_hz, key=at)
         high = bisect.bisect_left(range(half), band.high_hz, key=at)
         gains[low:high] = band.gain
-    if n > 2:
-        gains[half:] = gains[1 : (n - 1) // 2 + 1][::-1]
+    gains[half:] = gains[1 : (n - 1) // 2 + 1][::-1]  # empty for n = 1 and 2
     return GainVector(values=gains, sample_rate=sample_rate)
 
 
@@ -111,22 +110,21 @@ def equalize(signal: Signal, profile: GainProfile) -> Signal:
     [-1, 1]. The upper bins mirror the lower ones for a real signal, so
     the output is real by construction.
     """
-    original_n = len(signal)
     padded = pad_to_pow2(signal)
     n = len(padded)
-    half = n // 2 + 1
-    spectrum = fft(padded)
-    gains = build_gain_vector(profile, n, signal.sample_rate)
-    time = _ifft_array(spectrum.bins[:half] * gains.values[:half], n)
-    samples = np.clip(time.real[:original_n], -1.0, 1.0)
+    half = fft(padded).bins[: n // 2 + 1]
+    half *= build_gain_vector(profile, n, signal.sample_rate).values[: half.size]
+    samples = np.clip(_ifft_array(half, n)[: len(signal)], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)
 
 
 # Five bands covering lows through presence; the top band is open-ended.
 _BAND_EDGES = (0.0, 160.0, 500.0, 800.0, 8000.0, math.inf)
 _TREBLE_GAINS = (0.1, 0.25, 0.5, 1.0, 1.0)
+# preset name: gains of the bands from _BAND_EDGES, lowest first
+_PRESETS = {"identity": (), "treble": _TREBLE_GAINS, "bass-boost": _TREBLE_GAINS[::-1]}
 
-PRESET_NAMES = ("identity", "treble", "bass-boost")
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> GainProfile:
@@ -136,19 +134,13 @@ def preset(name: str) -> GainProfile:
     (0.1, 0.25, 0.5, 1, 1 from lowest to highest), bass-boost applies
     the same ladder with the band order reversed.
     """
-    if name == "identity":
-        return GainProfile(bands=(), name="identity")
-    if name == "treble":
-        gains = _TREBLE_GAINS
-    elif name == "bass-boost":
-        gains = tuple(reversed(_TREBLE_GAINS))
-    else:
+    if name not in PRESET_NAMES:
         raise DspError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         )
     bands = tuple(
         Band(low_hz=low, high_hz=high, gain=gain)
-        for low, high, gain in zip(_BAND_EDGES, _BAND_EDGES[1:], gains)
+        for low, high, gain in zip(_BAND_EDGES, _BAND_EDGES[1:], _PRESETS[name])
     )
     return GainProfile(bands=bands, name=name)
 

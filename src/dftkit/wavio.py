@@ -143,7 +143,10 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
             raise WavFormatError("float data chunk contains non-finite samples")
         np.clip(samples, -1.0, 1.0, out=samples)
 
-    mono = downmix_mono(samples.reshape(frames, channels))
+    if channels == 1:  # + 0.0 turns -0.0 into +0.0, as the downmix does
+        mono = np.add(samples, 0.0, out=samples)
+    else:
+        mono = downmix_mono(samples.reshape(frames, channels))
     meta = WavMeta(
         channels=channels,
         bits_per_sample=bits,
@@ -180,7 +183,8 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
 
     fmt = struct.pack("<HHIIHH", code, channels, rate, byte_rate, block_align, bits_per_sample)
     if code == _PCM:
-        samples = np.clip(np.round(samples * 32768.0), -32768, 32767)
+        samples = samples * 32768.0
+        np.clip(np.round(samples, out=samples), -32768, 32767, out=samples)
         chunks = [(b"fmt ", fmt)]
     else:
         # non-PCM fmt carries a zero-length extension and a fact chunk

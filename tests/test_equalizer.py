@@ -1,6 +1,7 @@
 """Unit tests for gain profiles and frequency-domain equalization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,8 +144,9 @@ class TestBuildGainVector:
         profile = GainProfile(bands=())
         with pytest.raises(DspError, match="length"):
             build_gain_vector(profile, 0, 8000)
-        with pytest.raises(DspError, match="rate"):
-            build_gain_vector(profile, 8, 0)
+        for rate in (0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DspError, match="rate"):
+                build_gain_vector(profile, 8, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,17 @@ class TestEqualize:
         for n in (1, 7, 100, 1023, 1024):
             out = equalize(Signal(np.ones(n) * 0.1, 8000), preset("identity"))
             assert len(out) == n
+
+    def test_peak_memory_is_bounded_by_the_padded_signal(self):
+        # the full spectrum, the gains and the inverse's buffers: about 7 signals
+        signal = Signal(np.random.default_rng(13).uniform(-1.0, 1.0, 2**16), 44100)
+        tracemalloc.start()
+        try:
+            equalize(signal, preset("treble"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.25 * signal.samples.nbytes
 
 
 # ---------------------------------------------------------------------------

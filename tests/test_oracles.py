@@ -57,6 +57,7 @@ from dftkit import (
 )
 from dftkit.analysis import _ROWS_PER_WRITE, _note_fields
 from dftkit.cli import UsageError, main
+from dftkit.equalizer import _BAND_EDGES, _TREBLE_GAINS, PRESET_NAMES
 from dftkit.transform import (
     _bit_reversal,
     _fft_array,
@@ -268,6 +269,36 @@ def oracle_equalize(signal: Signal, profile: GainProfile) -> Signal:
         )
     samples = np.clip(time.real[:original_n], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)
+
+
+def oracle_product_equalize(signal: Signal, profile: GainProfile) -> Signal:
+    original_n = len(signal)
+    padded = pad_to_pow2(signal)
+    n = len(padded)
+    half = n // 2 + 1
+    spectrum = fft(padded)
+    gains = build_gain_vector(profile, n, signal.sample_rate)
+    time = _ifft_array(spectrum.bins[:half] * gains.values[:half], n)
+    samples = np.clip(time.real[:original_n], -1.0, 1.0)
+    return Signal(samples, signal.sample_rate)
+
+
+def oracle_preset(name: str) -> GainProfile:
+    if name == "identity":
+        return GainProfile(bands=(), name="identity")
+    if name == "treble":
+        gains = _TREBLE_GAINS
+    elif name == "bass-boost":
+        gains = tuple(reversed(_TREBLE_GAINS))
+    else:
+        raise DspError(
+            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
+        )
+    bands = tuple(
+        Band(low_hz=low, high_hz=high, gain=gain)
+        for low, high, gain in zip(_BAND_EDGES, _BAND_EDGES[1:], gains)
+    )
+    return GainProfile(bands=bands, name=name)
 
 
 def oracle_write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
@@ -1066,6 +1097,59 @@ def test_equalize_matches_the_complex_path(exponent, seed, kind, profile, rate, 
     assert len(actual) == len(expected) == length
     assert actual.sample_rate == expected.sample_rate
     assert float(np.max(np.abs(actual.samples - expected.samples))) <= EQUALIZE_TOLERANCE
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    length=st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=4096)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(REAL_KINDS),
+    profile=profiles(),
+    rate=st.sampled_from([8000, 44100, 48000]),
+)
+def test_equalize_matches_the_product_version(length, seed, kind, profile, rate):
+    # gains multiplied in place into fft's half spectrum, bit for bit the separate product
+    signal = Signal(real_input(np.random.default_rng(seed), length, kind), rate)
+    before = signal.samples.tobytes()
+    expected = oracle_product_equalize(signal, profile)
+    actual = equalize(signal, profile)
+    assert actual.samples.tobytes() == expected.samples.tobytes()
+    assert signal.samples.tobytes() == before  # the input is never scaled in place
+    assert actual.sample_rate == expected.sample_rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=512),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from([kind for kind in REAL_KINDS if kind != "wide"]),
+    profile=profiles(),
+    rate=st.sampled_from([8000, 44100, 48000]),
+)
+def test_equalize_matches_the_matrix_form(length, seed, kind, profile, rate):
+    # the paper's operator F^-1 diag(g) F on the padded signal, with F^-1 = conj(F) / n
+    signal = Signal(real_input(np.random.default_rng(seed), length, kind), rate)
+    x = pad_to_pow2(signal).samples
+    n = x.size
+    F = dft_matrix(n).entries
+    g = build_gain_vector(profile, n, rate).values
+    expected = np.clip(np.real(np.conj(F) @ (g * (F @ x))) / n, -1.0, 1.0)[:length]
+    actual = equalize(signal, profile).samples
+    assert actual.shape == expected.shape
+    assert float(np.max(np.abs(actual - expected))) <= EQUALIZE_TOLERANCE
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "Treble", "", "bass_boost"])
+def test_preset_matches_the_branching_version(name):
+    outcomes = []
+    for build in (oracle_preset, preset):
+        try:
+            profile = build(name)
+        except DspError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((profile.name, profile.bands))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -408,26 +408,41 @@ class TestMalformedFiles:
 
 
 @pytest.mark.parametrize(
-    "channels, bits, code, dtype",
-    [(1, 16, 1, "<i2"), (2, 32, 3, "<f4")],
-    ids=["mono-pcm16", "stereo-float32"],
+    "channels, bits, code, dtype, bound",
+    [(1, 16, 1, "<i2", 1.25), (1, 32, 3, "<f4", 1.25), (2, 32, 3, "<f4", 3.25)],
+    ids=["mono-pcm16", "mono-float32", "stereo-float32"],
 )
 def test_read_peak_memory_is_the_file_plus_the_decoded_frames(
-    tmp_path, channels, bits, code, dtype
+    tmp_path, channels, bits, code, dtype, bound
 ):
-    """Past the file's bytes, a read holds the float64 frames, the mono result and a mask."""
+    """Past the file's bytes, a read holds the float64 frames, a mono result if
+    it downmixes, and a mask; a mono file is decoded into its result."""
     rng = np.random.default_rng(2026)
-    payload = (rng.uniform(-1.0, 1.0, 2**16 * channels) * 32767).astype(dtype).tobytes()
+    frames = (rng.uniform(-1.0, 1.0, 2**16 * channels) * 32767).astype(dtype)
+    frames[::7] = -0.0  # a float file's -0.0 reads +0.0
     path = tmp_path / "big.wav"
     fmt = pcm_fmt(channels=channels, bits=bits, code=code)
-    path.write_bytes(build_wav([(b"fmt ", fmt), (b"data", payload)]))
+    path.write_bytes(build_wav([(b"fmt ", fmt), (b"data", frames.tobytes())]))
     tracemalloc.start()
     try:
         signal, _ = read_wav(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - path.stat().st_size <= (channels + 1.25) * signal.samples.nbytes
+    assert peak - path.stat().st_size <= bound * signal.samples.nbytes
+    assert not np.signbit(signal.samples[signal.samples == 0.0]).any()
+
+
+def test_write_peak_memory_is_one_and_a_half_signals(tmp_path):
+    """A PCM-16 write quantises one float64 copy in place, then packs it."""
+    signal = Signal(np.random.default_rng(2027).uniform(-1.0, 1.0, 2**16), 8000)
+    tracemalloc.start()
+    try:
+        write_wav(signal, tmp_path / "big.wav")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * signal.samples.nbytes
 
 
 # ---------------------------------------------------------------------------
