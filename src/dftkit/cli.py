@@ -11,6 +11,7 @@ malformed files, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,6 +33,11 @@ MAX_REPEATS = 1000
 
 class UsageError(Exception):
     """Bad argument values discovered after parsing."""
+
+
+def _shown(text: str) -> str:
+    """A path, or a message naming one, with each byte that is not UTF-8 as \\xNN."""
+    return os.fsencode(text).decode("utf-8", "backslashreplace")
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -64,7 +70,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_spectrum_csv(mag, args.csv)
 
     print(
-        f"{args.input}: {meta.sample_rate} Hz, {meta.frame_count} frames, "
+        f"{_shown(args.input)}: {meta.sample_rate} Hz, {meta.frame_count} frames, "
         f"transform length {mag.source_n}, bin width {mag.bin_width_hz:.5g} Hz"
     )
     if not freqs:
@@ -90,7 +96,7 @@ def cmd_equalize(args: argparse.Namespace) -> int:
     shaped = equalize(signal, profile)
     write_wav(shaped, args.output, bits_per_sample=meta.bits_per_sample)
 
-    label = profile.name or "profile"
+    label = _shown(profile.name or "profile")
     if profile.bands:
         print(f"{label}:")
         for band in profile.bands:
@@ -99,7 +105,7 @@ def cmd_equalize(args: argparse.Namespace) -> int:
     else:
         print(f"{label}: all gains 1")
     print(
-        f"wrote {args.output}: {len(shaped)} frames at {shaped.sample_rate} Hz, "
+        f"wrote {_shown(args.output)}: {len(shaped)} frames at {shaped.sample_rate} Hz, "
         f"{meta.bits_per_sample}-bit"
     )
     return 0
@@ -120,7 +126,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     write_wav(signal, args.output, bits_per_sample=16)
     joined = ", ".join(f"{freq:g}" for freq in frequencies)
     print(
-        f"wrote {args.output}: {joined} Hz, {len(signal)} frames at {args.rate} Hz"
+        f"wrote {_shown(args.output)}: {joined} Hz, {len(signal)} frames at {args.rate} Hz"
     )
     return 0
 
@@ -277,10 +283,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_shown(str(exc))}", file=sys.stderr)
         return 2
     except (DspError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_shown(str(exc))}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's failed allocations are MemoryErrors too
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

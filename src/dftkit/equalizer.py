@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, fft, pad_to_pow2, _ifft_array
+from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft, pad_to_pow2
 
 __all__ = [
     "Band",
@@ -88,8 +88,7 @@ def build_gain_vector(profile: GainProfile, n: int, sample_rate: int) -> GainVec
     """
     if n < 1:
         raise DspError(f"transform length must be >= 1, got {n}")
-    if not 1 <= sample_rate < math.inf:
-        raise DspError(f"sample rate must be >= 1, got {sample_rate}")
+    sample_rate = _as_positive_int(sample_rate, "sample rate")
     half = n // 2 + 1
     gains = np.ones(n, dtype=np.float64)
     at = lambda k: k * sample_rate / n  # noqa: E731

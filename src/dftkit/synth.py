@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .transform import DspError, Signal
+from .transform import DspError, Signal, _as_positive_int
 
 __all__ = ["sine", "mix"]
 
@@ -24,8 +24,7 @@ def sine(
     """
     if not math.isfinite(frequency_hz) or frequency_hz < 0.0:
         raise DspError(f"frequency must be finite and >= 0, got {frequency_hz}")
-    if not math.isfinite(sample_rate) or sample_rate < 1:
-        raise DspError(f"sample rate must be >= 1, got {sample_rate}")
+    sample_rate = _as_positive_int(sample_rate, "sample rate")
     if frequency_hz >= sample_rate / 2.0:
         raise DspError(
             f"frequency {frequency_hz} Hz is at or above the Nyquist limit "

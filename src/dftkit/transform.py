@@ -187,20 +187,22 @@ def dft_naive(signal: Signal, max_n: int = DEFAULT_NAIVE_LIMIT) -> Spectrum:
     return Spectrum(_naive_forward(x, max_n, "signal length"), signal.sample_rate)
 
 
-def _strip_imaginary(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Check the inverse-transform output is real and drop the imaginary part.
+def _inverse(spectrum: Spectrum, forward) -> Signal:
+    """conj(forward(conj(bins))) / n, checked to be real.
 
     The inverse of a Hermitian-symmetric spectrum is real up to rounding;
     a larger residue means the spectrum does not describe a real signal.
     """
+    bins = spectrum.bins
+    time = np.conj(forward(np.conj(bins))) / bins.size
     scale = float(np.max(np.abs(bins)))
-    residue = float(np.max(np.abs(values.imag)))
+    residue = float(np.max(np.abs(time.imag)))
     if residue > EPSILON * scale:
         raise DspError(
             "spectrum is not Hermitian-symmetric: imaginary residue "
             f"{residue:.3e} exceeds {EPSILON:.0e} * max|bin|"
         )
-    return values.real.copy()
+    return Signal(time.real.copy(), spectrum.sample_rate)
 
 
 def idft_naive(spectrum: Spectrum, max_n: int = DEFAULT_NAIVE_LIMIT) -> Signal:
@@ -209,9 +211,7 @@ def idft_naive(spectrum: Spectrum, max_n: int = DEFAULT_NAIVE_LIMIT) -> Signal:
     samples[k] = (1/n) * sum_j bins[j] * e^(+2*pi*i*j*k/n), taken as
     conj(F @ conj(bins)) / n, the identity ifft uses.
     """
-    n = len(spectrum)
-    time = np.conj(_naive_forward(np.conj(spectrum.bins), max_n, "spectrum length")) / n
-    return Signal(_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
+    return _inverse(spectrum, lambda bins: _naive_forward(bins, max_n, "spectrum length"))
 
 
 def next_pow2(n: int) -> int:
@@ -224,22 +224,14 @@ def next_pow2(n: int) -> int:
 def pad_to_pow2(signal: Signal) -> Signal:
     """Zero-extend a signal to the next power-of-two length (no-op if already there)."""
     n = len(signal)
+    if n > FFT_LIMIT:  # FFT_LIMIT is a power of two, so a shorter signal never pads past it
+        raise DspError(f"signal length {n} exceeds the fast-path limit {FFT_LIMIT}")
     target = next_pow2(n)
     if target == n:
         return signal
     padded = np.zeros(target, dtype=np.float64)
     padded[:n] = signal.samples
     return Signal(padded, signal.sample_rate)
-
-
-def _require_power_of_two(n: int) -> None:
-    if n >= 1 and (n & (n - 1)) == 0:
-        return
-    below = 1 << max(n.bit_length() - 1, 0)
-    raise DspError(
-        f"length {n} is not a power of two (nearest are {below} and {below * 2}); "
-        "zero-pad or use the naive transform"
-    )
 
 
 def _bit_reversal(n: int) -> np.ndarray:
@@ -354,7 +346,12 @@ def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
 
 
 def _require_fast_length(n: int, what: str) -> None:
-    _require_power_of_two(n)
+    if n < 1 or n & (n - 1):
+        below = 1 << max(n.bit_length() - 1, 0)
+        raise DspError(
+            f"length {n} is not a power of two (nearest are {below} and {below * 2}); "
+            "zero-pad or use the naive transform"
+        )
     if n > FFT_LIMIT:
         raise DspError(f"{what} length {n} exceeds the fast-path limit {FFT_LIMIT}")
 
@@ -375,7 +372,5 @@ def ifft(spectrum: Spectrum) -> Signal:
     Any complex spectrum is accepted, so this takes the full n-point
     inverse, conj(fft(conj(X))) / n, and rejects a result that is not real.
     """
-    n = len(spectrum)
-    _require_fast_length(n, "spectrum")
-    time = np.conj(_fft_array(np.conj(spectrum.bins))) / n
-    return Signal(_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
+    _require_fast_length(len(spectrum), "spectrum")
+    return _inverse(spectrum, _fft_array)

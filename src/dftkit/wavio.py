@@ -173,15 +173,15 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
         raise DspError(f"unsupported bit depth {bits_per_sample} (use {uses})")
     channels = 1
     rate = signal.sample_rate
-    block_align = channels * bits_per_sample // 8
+    block_align = channels * bits // 8
     byte_rate = rate * block_align
     if byte_rate > 0xFFFFFFFF:  # the header stores it as a uint32
-        raise DspError(f"sample rate {rate} Hz is too high for a {bits_per_sample}-bit WAV")
+        raise DspError(f"sample rate {rate} Hz is too high for a {bits}-bit WAV")
     samples = signal.samples
     if float(np.max(np.abs(samples))) > 1.0:
         raise DspError("samples exceed [-1, 1]; clamp or normalize before writing")
 
-    fmt = struct.pack("<HHIIHH", code, channels, rate, byte_rate, block_align, bits_per_sample)
+    fmt = struct.pack("<HHIIHH", code, channels, rate, byte_rate, block_align, bits)
     if code == _PCM:
         samples = samples * 32768.0
         np.clip(np.round(samples, out=samples), -32768, 32767, out=samples)
@@ -201,7 +201,7 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
 
     return WavMeta(
         channels=channels,
-        bits_per_sample=bits_per_sample,
+        bits_per_sample=bits,
         sample_rate=rate,
         frame_count=len(signal),
         encoding=encoding,

@@ -399,6 +399,62 @@ class TestBenchCommand:
 
 
 # ---------------------------------------------------------------------------
+# file names that are not UTF-8
+# ---------------------------------------------------------------------------
+
+
+def undecodable(folder, name: bytes) -> bytes:
+    """A path under folder whose name holds bytes that are not UTF-8."""
+    return os.fsencode(folder) + b"/" + name
+
+
+class TestUndecodableFileNames:
+    """capsys's streams are strict UTF-8, as a UTF-8 terminal or pipe would be."""
+
+    def write_input(self, tmp_path):
+        path = undecodable(tmp_path, b"in\xff.wav")
+        write_wav(Signal(0.5 * np.sin(0.3 * np.arange(256)), 8000), path)
+        return path
+
+    def test_analyze_prints_each_byte_as_an_escape(self, tmp_path, capsys):
+        wav = self.write_input(tmp_path)
+        code, out, err = run(capsys, "analyze", os.fsdecode(wav))
+        assert (code, err) == (0, "")
+        assert out.startswith(f"{tmp_path}/in\\xff.wav: 8000 Hz, 256 frames, ")
+
+    def test_equalize_with_a_profile_prints_each_byte_as_an_escape(self, tmp_path, capsys):
+        wav = self.write_input(tmp_path)
+        profile = undecodable(tmp_path, b"bands\xfe.profile")
+        with open(profile, "w", encoding="utf-8") as handle:
+            handle.write("0,1000,0.5\n")
+        out = undecodable(tmp_path, b"out\xfd.wav")
+        argv = ["equalize", os.fsdecode(wav), os.fsdecode(out), "--profile", os.fsdecode(profile)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert stdout == (
+            f"{tmp_path}/bands\\xfe.profile:\n"
+            "  0 Hz .. 1000 Hz: gain 0.5\n"
+            f"wrote {tmp_path}/out\\xfd.wav: 256 frames at 8000 Hz, 16-bit\n"
+        )
+        assert len(read_wav(out)[0]) == 256
+
+    def test_synth_prints_each_byte_as_an_escape(self, tmp_path, capsys):
+        out = undecodable(tmp_path, b"tone\xff.wav")
+        argv = ["synth", os.fsdecode(out), "--freqs", "440", "--rate", "8000"]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert stdout == f"wrote {tmp_path}/tone\\xff.wav: 440 Hz, 8000 frames at 8000 Hz\n"
+        assert len(read_wav(out)[0]) == 8000
+
+    def test_an_error_line_prints_each_byte_as_an_escape(self, tmp_path, capsys):
+        wav = self.write_input(tmp_path)
+        name = os.fsdecode(wav)  # a WAV file is not a profile's UTF-8 text
+        code, out, err = run(capsys, "equalize", name, str(tmp_path / "o.wav"), "--profile", name)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: profile {tmp_path}/in\\xff.wav is not UTF-8 text: ")
+
+
+# ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
 
@@ -463,6 +519,7 @@ def cli_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("cli")
     write_wav(Signal(0.5 * np.sin(0.3 * np.arange(256)), 8000), folder / "pcm.wav")
     write_wav(Signal(np.linspace(-0.5, 0.5, 300), 8000), folder / "float.wav", 32)
+    write_wav(Signal(np.linspace(-0.5, 0.5, 300), 8000), undecodable(folder, b"\xff.wav"))
     (folder / "good.profile").write_text("0,1000,0.5\n")
     (folder / "bad.profile").write_text("0,160\n")
     return folder
@@ -472,6 +529,7 @@ def cli_files(tmp_path_factory):
 def any_argv(draw, folder):
     """argv for one subcommand; every value that passes validation is small."""
     wavs = [str(folder / "pcm.wav"), str(folder / "float.wav")]
+    wavs.append(os.fsdecode(undecodable(folder, b"\xff.wav")))
     not_wavs = [str(folder / name) for name in ("good.profile", "bad.profile", "missing")]
     profiles = [str(folder / "good.profile")]
     outputs = [str(folder / "out.wav"), str(folder / "out.csv")]
@@ -512,6 +570,8 @@ def any_argv(draw, folder):
 @given(data=st.data())
 def test_main_returns_an_exit_code_and_never_raises(cli_files, data):
     argv = data.draw(any_argv(cli_files))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)

@@ -144,8 +144,8 @@ class TestBuildGainVector:
         profile = GainProfile(bands=())
         with pytest.raises(DspError, match="length"):
             build_gain_vector(profile, 0, 8000)
-        for rate in (0, math.nan, math.inf, -math.inf):
-            with pytest.raises(DspError, match="rate"):
+        for rate in (0, math.nan, math.inf, -math.inf, 44100.5, "44100"):
+            with pytest.raises(DspError, match="sample rate must be a positive integer"):
                 build_gain_vector(profile, 8, rate)
 
 

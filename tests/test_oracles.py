@@ -48,6 +48,7 @@ from dftkit import (
     find_peaks,
     identify_note,
     idft_naive,
+    ifft,
     magnitude_spectrum,
     pad_to_pow2,
     preset,
@@ -58,13 +59,7 @@ from dftkit import (
 from dftkit.analysis import _ROWS_PER_WRITE, _note_fields
 from dftkit.cli import UsageError, main
 from dftkit.equalizer import _BAND_EDGES, _TREBLE_GAINS, PRESET_NAMES
-from dftkit.transform import (
-    _bit_reversal,
-    _fft_array,
-    _ifft_array,
-    _require_power_of_two,
-    _strip_imaginary,
-)
+from dftkit.transform import _bit_reversal, _fft_array, _ifft_array
 from dftkit.wavio import _EXTENSIBLE, _IEEE_FLOAT, _PCM, _SUBFORMAT_TAIL
 
 # ---------------------------------------------------------------------------
@@ -196,6 +191,32 @@ def oracle_dft_naive(signal: Signal, max_n: int = DEFAULT_NAIVE_LIMIT) -> Spectr
     return Spectrum(bins=bins, sample_rate=signal.sample_rate)
 
 
+def oracle_strip_imaginary(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Check the inverse-transform output is real and drop the imaginary part.
+
+    The inverse of a Hermitian-symmetric spectrum is real up to rounding;
+    a larger residue means the spectrum does not describe a real signal.
+    """
+    scale = float(np.max(np.abs(bins)))
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > EPSILON * scale:
+        raise DspError(
+            "spectrum is not Hermitian-symmetric: imaginary residue "
+            f"{residue:.3e} exceeds {EPSILON:.0e} * max|bin|"
+        )
+    return values.real.copy()
+
+
+def oracle_require_power_of_two(n: int) -> None:
+    if n >= 1 and (n & (n - 1)) == 0:
+        return
+    below = 1 << max(n.bit_length() - 1, 0)
+    raise DspError(
+        f"length {n} is not a power of two (nearest are {below} and {below * 2}); "
+        "zero-pad or use the naive transform"
+    )
+
+
 def oracle_idft_naive(spectrum: Spectrum, max_n: int = DEFAULT_NAIVE_LIMIT) -> Signal:
     """Inverse transform by direct summation, with the 1/n factor.
 
@@ -209,7 +230,7 @@ def oracle_idft_naive(spectrum: Spectrum, max_n: int = DEFAULT_NAIVE_LIMIT) -> S
     time = np.empty(n, dtype=np.complex128)
     for k in range(n):
         time[k] = np.dot(kernel[(j * k) % n], spectrum.bins) / n
-    return Signal(_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
+    return Signal(oracle_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
 
 
 def oracle_bit_reversal(n: int) -> np.ndarray:
@@ -246,11 +267,25 @@ def oracle_ifft_array(values: np.ndarray) -> np.ndarray:
 
 def oracle_fft(signal: Signal) -> Spectrum:
     n = len(signal)
-    _require_power_of_two(n)
+    oracle_require_power_of_two(n)
     if n > FFT_LIMIT:
         raise DspError(f"signal length {n} exceeds the fast-path limit {FFT_LIMIT}")
     bins = _fft_array(signal.samples.astype(np.complex128))
     return Spectrum(bins=bins, sample_rate=signal.sample_rate)
+
+
+def oracle_ifft(spectrum: Spectrum) -> Signal:
+    """Fast inverse transform. Same contract as idft_naive, power-of-two lengths only.
+
+    Any complex spectrum is accepted, so this takes the full n-point
+    inverse, conj(fft(conj(X))) / n, and rejects a result that is not real.
+    """
+    n = len(spectrum)
+    oracle_require_power_of_two(n)  # the fast-length check, as in oracle_fft
+    if n > FFT_LIMIT:
+        raise DspError(f"spectrum length {n} exceeds the fast-path limit {FFT_LIMIT}")
+    time = np.conj(_fft_array(np.conj(spectrum.bins))) / n
+    return Signal(oracle_strip_imaginary(time, spectrum.bins), spectrum.sample_rate)
 
 
 def oracle_equalize(signal: Signal, profile: GainProfile) -> Signal:
@@ -868,11 +903,15 @@ def test_idft_naive_matches_the_loop_version(n, offset, seed, kind, symmetric):
 
 def test_non_hermitian_spectra_raise_like_the_loop_version():
     rng = np.random.default_rng(77)
-    for n in (2, 3, 64, 257):
+    for n in (1, 2, 3, 64, 257, 4096):
         bins = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         expected = naive_outcome(oracle_idft_naive, Spectrum(bins, 8000))
         assert expected[0] is DspError and "not Hermitian-symmetric" in expected[1]
         assert naive_outcome(idft_naive, Spectrum(bins, 8000)) == expected
+        expected = naive_outcome(oracle_ifft, Spectrum(bins, 8000))
+        if n & (n - 1) == 0:  # the fast inverse reaches the residue check
+            assert expected[0] is DspError and "not Hermitian-symmetric" in expected[1]
+        assert naive_outcome(ifft, Spectrum(bins, 8000)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1057,6 +1096,16 @@ def test_fft_is_exactly_hermitian(exponent, seed, kind):
     k = np.arange(1, n)
     k = k[k != n // 2]
     assert bins[n - k].tobytes() == np.conj(bins[k]).tobytes()
+
+
+@pytest.mark.parametrize("exponent", EXPONENTS[:13])  # n = 2**0 .. 2**12
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.sampled_from(REAL_KINDS))
+def test_ifft_of_a_hermitian_spectrum_matches_the_two_step_version(exponent, seed, kind):
+    spectrum = fft(Signal(real_input(np.random.default_rng(seed), 1 << exponent, kind), 8000))
+    expected = naive_outcome(oracle_ifft, spectrum)
+    assert expected[0] is Signal
+    assert naive_outcome(ifft, spectrum) == expected
 
 
 @pytest.mark.parametrize("exponent", EXPONENTS)

@@ -1,5 +1,7 @@
 """Unit tests for tone generation and mixing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,19 @@ class TestSine:
             sine(-440.0)
 
     def test_rejects_bad_rate(self):
-        for rate in (0, -44100, np.inf, np.nan):
-            with pytest.raises(DspError, match="sample rate must be >= 1"):
+        for rate in (0, -44100, np.inf, np.nan, 44100.5, "44100"):
+            with pytest.raises(DspError, match="sample rate must be a positive integer"):
                 sine(440.0, sample_rate=rate)
+
+    def test_rejects_a_fractional_rate_before_building_the_tone(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DspError, match="sample rate must be a positive integer"):
+                sine(440.0, duration_s=10.0, sample_rate=44100.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the tone would be 441,005 float64 samples, 3.5 MB
 
     def test_rejects_bad_duration(self):
         with pytest.raises(DspError, match="duration"):

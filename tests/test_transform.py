@@ -5,23 +5,29 @@ bins[k] = sum_j x[j] * exp(-2*pi*i*j*k/n) before any implementation
 existed, so they are independent of the code under test.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dftkit.transform
 from dftkit import (
     DEFAULT_NAIVE_LIMIT,
     DftMatrix,
     DspError,
     Signal,
     Spectrum,
+    analyze,
     dft_matrix,
     dft_naive,
+    equalize,
     fft,
     idft_naive,
     ifft,
     next_pow2,
     omega,
     pad_to_pow2,
+    preset,
 )
 
 # sin ramp [0, 1, 0, -1]: bin 1 = -i*(n/2), bin 3 its conjugate, rest zero
@@ -311,6 +317,24 @@ class TestPadding:
     def test_pad_is_identity_on_powers_of_two(self):
         signal = Signal(np.ones(64), 8000)
         assert pad_to_pow2(signal) is signal
+
+    def test_refuses_a_signal_past_the_fast_limit_before_padding(self, monkeypatch):
+        monkeypatch.setattr(dftkit.transform, "FFT_LIMIT", 1024)
+        assert len(pad_to_pow2(Signal(np.ones(1000), 8000))) == 1024
+        signal = Signal(np.ones(1025), 8000)
+        message = "^signal length 1025 exceeds the fast-path limit 1024$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DspError, match=message):
+                pad_to_pow2(signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 8  # the padded copy alone would take 16 KiB
+        with pytest.raises(DspError, match=message):
+            analyze(signal)
+        with pytest.raises(DspError, match=message):
+            equalize(signal, preset("treble"))
 
     def test_padding_preserves_low_bins_scale(self):
         # zero padding refines the grid; bin 0 (the plain sum) is unchanged

@@ -122,6 +122,14 @@ class TestEncoding:
         with pytest.raises(DspError, match="bit depth"):
             write_wav(Signal([0.0], 8000), tmp_path / "x.wav", bits_per_sample=24)
 
+    @pytest.mark.parametrize("bits", [16, 32])
+    def test_a_float_depth_writes_the_integer_depth_file(self, tmp_path, bits):
+        signal = Signal([0.5, -0.25, 0.0, 1.0], 8000)
+        meta = write_wav(signal, tmp_path / "int.wav", bits_per_sample=bits)
+        assert write_wav(signal, tmp_path / "float.wav", bits_per_sample=float(bits)) == meta
+        assert type(meta.bits_per_sample) is int
+        assert (tmp_path / "float.wav").read_bytes() == (tmp_path / "int.wav").read_bytes()
+
     def test_rejects_a_byte_rate_past_32_bits(self, tmp_path):
         path = tmp_path / "x.wav"
         # 2**30 Hz fits in 16-bit PCM (byte rate 2**31) but not in float-32 (2**32)
