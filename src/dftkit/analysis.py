@@ -31,8 +31,7 @@ A4_HZ = 440.0
 # Twelve-tone equal temperament, ascending from C.
 NOTE_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
-# Rows formatted per write, by write_spectrum_csv and by the analyze command's
-# peak table; a larger chunk holds more rows in memory at once.
+# Rows formatted per write by _write_rows; a larger chunk holds more in memory.
 _ROWS_PER_WRITE = 512
 
 
@@ -219,17 +218,25 @@ def write_spectrum_csv(mag: MagnitudeSpectrum, path) -> None:
     """Dump a half-spectrum as CSV rows of bin, frequency_hz, magnitude.
 
     The file is the header line then one row per bin, every line ending
-    in CRLF and both float fields written as %.8g. Rows are formatted and
-    written _ROWS_PER_WRITE at a time, so the memory used beyond the
-    spectrum itself is bounded by the chunk size, not by its length.
+    in CRLF and both float fields written as %.8g.
     """
-    size = len(mag)
     with open(path, "w", newline="") as handle:
         handle.write("bin,frequency_hz,magnitude\r\n")
-        for start in range(0, size, _ROWS_PER_WRITE):
-            stop = min(start + _ROWS_PER_WRITE, size)
-            fields = [0] * (3 * (stop - start))
-            fields[0::3] = range(start, stop)
-            fields[1::3] = mag.frequencies[start:stop].tolist()
-            fields[2::3] = mag.magnitudes[start:stop].tolist()
-            handle.write(("%d,%.8g,%.8g\r\n" * (stop - start)) % tuple(fields))
+        _write_rows(
+            handle, "%d,%.8g,%.8g\r\n", range(len(mag)), mag.frequencies, mag.magnitudes
+        )
+
+
+def _write_rows(handle, line: str, *columns) -> None:
+    """Write `line % row` for each row of equally long arrays, lists or ranges.
+
+    Rows are formatted and written _ROWS_PER_WRITE at a time, so the memory used beyond
+    the columns themselves is bounded by the chunk size, not by their length.
+    """
+    size = len(columns[0])
+    for start in range(0, size, _ROWS_PER_WRITE):
+        stop = min(start + _ROWS_PER_WRITE, size)
+        fields = [0] * (len(columns) * (stop - start))
+        for offset, column in enumerate(columns):
+            fields[offset :: len(columns)] = column[start:stop]
+        handle.write((line * (stop - start)) % tuple(fields))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _ROWS_PER_WRITE, _analyze, write_spectrum_csv
+from .analysis import _analyze, _write_rows, write_spectrum_csv
 from .equalizer import PRESET_NAMES, equalize, load_profile, preset
 from .synth import mix, sine
 from .transform import DEFAULT_NAIVE_LIMIT, FFT_LIMIT, DspError, Signal, dft_naive, fft
@@ -77,16 +77,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("no peaks above threshold")
         return 0
     print(f"{'frequency_hz':>14} {'magnitude':>14} {'note':>6} {'cents':>8}")
-    for start in range(0, len(freqs), _ROWS_PER_WRITE):
-        stop = start + _ROWS_PER_WRITE
-        sys.stdout.write(
-            "".join(
-                "%14.4f %14.4f %6s %+8.2f\n" % (f, m, note[0], note[2])
-                if note
-                else "%14.4f %14.4f %6s %8s\n" % (f, m, "-", "-")
-                for f, m, note in zip(freqs[start:stop], mags[start:stop], notes[start:stop])
-            )
-        )
+    dc = 1 if notes[0] is None else 0  # only a 0 Hz peak has no note, and it sorts first
+    if dc:
+        print("%14.4f %14.4f %6s %8s" % (freqs[0], mags[0], "-", "-"))
+    names = [note[0] for note in notes[dc:]]
+    cents = [note[2] for note in notes[dc:]]
+    _write_rows(sys.stdout, "%14.4f %14.4f %6s %+8.2f\n", freqs[dc:], mags[dc:], names, cents)
     return 0
 
 
@@ -188,18 +184,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--repeats must be from 1 to {MAX_REPEATS}, got {args.repeats}")
 
     rows = run_bench(sizes, repeats=args.repeats)
+    columns = [[getattr(row, k) for row in rows] for k in ("n", "naive_s", "fft_s", "ratio")]
     print(f"{'n':>8} {'dft_naive_s':>14} {'fft_s':>14} {'ratio':>10}")
-    for row in rows:
-        print(
-            f"{row.n:>8} {row.naive_s:>14.6f} {row.fft_s:>14.6f} {row.ratio:>10.1f}"
-        )
+    _write_rows(sys.stdout, "%8d %14.6f %14.6f %10.1f\n", *columns)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("n,dft_naive_s,fft_s,ratio\n")
-            for row in rows:
-                handle.write(
-                    f"{row.n},{row.naive_s:.8g},{row.fft_s:.8g},{row.ratio:.8g}\n"
-                )
+            _write_rows(handle, "%d,%.8g,%.8g,%.8g\n", *columns)
     return 0
 
 
@@ -282,15 +273,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {_shown(str(exc))}", file=sys.stderr)
-        return 2
-    except (DspError, OSError) as exc:
-        print(f"error: {_shown(str(exc))}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # numpy's failed allocations are MemoryErrors too
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+    # numpy's failed allocations are MemoryErrors; a lone-surrogate path, a UnicodeError.
+    except (UsageError, DspError, OSError, MemoryError, UnicodeError) as exc:
+        print(f"error: {_shown(str(exc) or 'out of memory')}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -66,9 +66,9 @@ class DspError(ValueError):
 def _as_positive_int(value, what: str) -> int:
     try:
         coerced = int(value)
-    except (OverflowError, ValueError):  # inf and NaN have no integer value
+    except (OverflowError, TypeError, ValueError):  # as for inf, NaN and None
         coerced = 0
-    if coerced != value or coerced <= 0:
+    if coerced <= 0 or coerced != value:  # <= first: != on an array gives an array
         raise DspError(f"{what} must be a positive integer, got {value!r}")
     return coerced
 

@@ -453,6 +453,20 @@ class TestUndecodableFileNames:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: profile {tmp_path}/in\\xff.wav is not UTF-8 text: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "\ud800.wav"],
+            ["equalize", "in.wav", "out.wav", "--profile", "\ud800.wav"],
+            ["synth", "\ud800.wav", "--freqs", "440", "--rate", "8000"],
+        ],
+    )
+    def test_a_lone_surrogate_in_a_path_is_a_runtime_error(self, capsys, argv):
+        # No file system encoding holds U+D800, so no such file can be opened.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 # ---------------------------------------------------------------------------
 # top level
@@ -533,7 +547,7 @@ def any_argv(draw, folder):
     not_wavs = [str(folder / name) for name in ("good.profile", "bad.profile", "missing")]
     profiles = [str(folder / "good.profile")]
     outputs = [str(folder / "out.wav"), str(folder / "out.csv")]
-    unwritable = ["", str(folder)]
+    unwritable = ["", str(folder), str(folder / "\ud800.wav")]  # no encoding holds U+D800
 
     def pick(valid, invalid):
         return draw(st.one_of(st.sampled_from(valid), st.sampled_from(invalid)))

@@ -144,7 +144,7 @@ class TestBuildGainVector:
         profile = GainProfile(bands=())
         with pytest.raises(DspError, match="length"):
             build_gain_vector(profile, 0, 8000)
-        for rate in (0, math.nan, math.inf, -math.inf, 44100.5, "44100"):
+        for rate in (0, math.nan, math.inf, -math.inf, 44100.5, "44100", None, [8000], object()):
             with pytest.raises(DspError, match="sample rate must be a positive integer"):
                 build_gain_vector(profile, 8, rate)
 

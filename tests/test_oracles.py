@@ -57,7 +57,7 @@ from dftkit import (
     write_wav,
 )
 from dftkit.analysis import _ROWS_PER_WRITE, _note_fields
-from dftkit.cli import UsageError, main
+from dftkit.cli import BenchRow, UsageError, main
 from dftkit.equalizer import _BAND_EDGES, _TREBLE_GAINS, PRESET_NAMES
 from dftkit.transform import _bit_reversal, _fft_array, _ifft_array
 from dftkit.wavio import _EXTENSIBLE, _IEEE_FLOAT, _PCM, _SUBFORMAT_TAIL
@@ -373,6 +373,22 @@ def oracle_cmd_analyze(args) -> int:
         print(
             f"{peak.frequency_hz:>14.4f} {peak.magnitude:>14.4f} {note:>6} {cents:>8}"
         )
+    return 0
+
+
+def oracle_cmd_bench(args, rows) -> int:
+    print(f"{'n':>8} {'dft_naive_s':>14} {'fft_s':>14} {'ratio':>10}")
+    for row in rows:
+        print(
+            f"{row.n:>8} {row.naive_s:>14.6f} {row.fft_s:>14.6f} {row.ratio:>10.1f}"
+        )
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as handle:
+            handle.write("n,dft_naive_s,fft_s,ratio\n")
+            for row in rows:
+                handle.write(
+                    f"{row.n},{row.naive_s:.8g},{row.fft_s:.8g},{row.ratio:.8g}\n"
+                )
     return 0
 
 
@@ -1295,16 +1311,56 @@ def test_dc_peak_prints_dashes_like_the_step_by_step_version(tmp_path):
 
 
 def test_peak_table_across_write_chunks(tmp_path):
-    # DC plus noise: every local maximum is a peak and bin 0 prints dashes.
-    wav = tmp_path / "dense.wav"
-    write_wav(Signal(0.3 + 0.6 * np.random.default_rng(0).uniform(-1, 1, 8192), 8000), wav)
-    argv = ["analyze", str(wav), "--threshold", "1e-300", "--separation-hz", "0"]
-    expected = run_analyze(oracle_cmd_analyze, argv)
-    assert expected[1].count("\n") > 2 * _ROWS_PER_WRITE + 2
-    assert expected[1].splitlines()[2].split()[2:] == ["-", "-"]
-    for rows_per_write in (1, 2, 7, _ROWS_PER_WRITE):
-        with mock.patch.object(dftkit.cli, "_ROWS_PER_WRITE", rows_per_write):
-            assert run_analyze(dftkit.cli.cmd_analyze, argv) == expected
+    dense = ["--threshold", "1e-300", "--separation-hz", "0"]
+    noise = 0.6 * np.random.default_rng(0).uniform(-1, 1, 8192)
+    cases = [
+        # DC plus noise: every local maximum is a peak and bin 0 prints dashes.
+        ("dc-and-noise.wav", 0.3 + noise, 16, dense, 2 * _ROWS_PER_WRITE, True),
+        # A constant: the only peak is at 0 Hz, so the table is one row of dashes.
+        ("constant.wav", np.full(256, 0.5), 16, [], 1, True),
+        # Noise with its mean taken out, written as floats: no peak at 0 Hz.
+        ("noise.wav", noise - noise.mean(), 32, dense, 2 * _ROWS_PER_WRITE, False),
+    ]
+    for name, samples, bits, flags, min_rows, dc_first in cases:
+        wav = tmp_path / name
+        write_wav(Signal(samples, 8000), wav, bits_per_sample=bits)
+        argv = ["analyze", str(wav)] + flags
+        expected = run_analyze(oracle_cmd_analyze, argv)
+        rows = [line.split() for line in expected[1].splitlines()[2:]]
+        assert (rows[0][2:] == ["-", "-"]) == dc_first, name
+        assert len(rows) >= min_rows and all(row[2] != "-" for row in rows[1:]), name
+        for rows_per_write in (1, 2, 7, _ROWS_PER_WRITE):
+            with mock.patch.object(dftkit.analysis, "_ROWS_PER_WRITE", rows_per_write):
+                assert run_analyze(dftkit.cli.cmd_analyze, argv) == expected, name
+
+
+# Fixed timings, one of them with a ratio that overflows to inf.
+BENCH_ROWS = [
+    BenchRow(8, 1.5e-05, 2.5e-06),
+    BenchRow(16, 0.000123456789123, 1e-06),
+    BenchRow(64, 1e300, 1e-300),
+    BenchRow(256, 0.0, 3.3333333333e-05),
+    BenchRow(4096, 12.345678912345678, 0.0123456789),
+]
+
+
+def test_bench_command_matches_the_row_by_row_version(tmp_path, monkeypatch):
+    monkeypatch.setattr(dftkit.cli, "run_bench", lambda sizes, repeats: BENCH_ROWS)
+    argv = ["bench", "--sizes", "8,16", "--repeats", "1", "--csv", str(tmp_path / "bench.csv")]
+    args = dftkit.cli.build_parser().parse_args(argv)
+
+    def outputs(command, *extra):
+        out = io.BytesIO()
+        with contextlib.redirect_stdout(io.TextIOWrapper(out, encoding="utf-8")) as wrapper:
+            code = command(args, *extra)
+            wrapper.flush()
+        return code, out.getvalue(), (tmp_path / "bench.csv").read_bytes()
+
+    expected = outputs(oracle_cmd_bench, BENCH_ROWS)
+    assert b" inf\n" in expected[1] and b",inf\n" in expected[2]
+    for rows_per_write in (1, 2, 512):
+        with mock.patch.object(dftkit.analysis, "_ROWS_PER_WRITE", rows_per_write):
+            assert outputs(dftkit.cli.cmd_bench) == expected
 
 
 def test_analyze_command_builds_no_peak_or_note_objects(tmp_path, monkeypatch):

@@ -41,7 +41,7 @@ class TestSine:
             sine(-440.0)
 
     def test_rejects_bad_rate(self):
-        for rate in (0, -44100, np.inf, np.nan, 44100.5, "44100"):
+        for rate in (0, -44100, np.inf, np.nan, 44100.5, "44100", None, [8000], object()):
             with pytest.raises(DspError, match="sample rate must be a positive integer"):
                 sine(440.0, sample_rate=rate)
 

@@ -66,7 +66,7 @@ class TestSignal:
             Signal(np.zeros((2, 2)), 8000)
 
     def test_rejects_bad_rate(self):
-        for rate in (0, -44100, np.inf, np.nan):
+        for rate in (0, -44100, np.inf, np.nan, None, [8000], object(), np.array([8000, 8000])):
             with pytest.raises(DspError, match="sample rate must be a positive integer"):
                 Signal([1.0], rate)
 
@@ -86,7 +86,7 @@ class TestSpectrum:
             Spectrum([complex("nan")], 8000)
 
     def test_rejects_bad_rate(self):
-        for rate in (0, -44100, np.inf, np.nan):
+        for rate in (0, -44100, np.inf, np.nan, None, [8000], object()):
             with pytest.raises(DspError, match="sample rate must be a positive integer"):
                 Spectrum([1.0], rate)
 
