@@ -7,8 +7,9 @@ asked for; the fast paths are an iterative radix-2 decimation-in-time
 butterfly over bit-reversed input. Both inverses are conj(F conj(X)) / n
 over their forward kernel.
 
-The permutation is built by doubling and every stage reads its twiddles
-from one table of n/2 roots, with the same bits as per-stage twiddles.
+The permutation is built by doubling. The twiddles are built once per
+process, for the largest transform so far; a smaller power of two reads
+strided views of them with the bits of its own tables (see _twiddles).
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -237,12 +238,16 @@ def pad_to_pow2(signal: Signal) -> Signal:
 def _bit_reversal(n: int) -> np.ndarray:
     """Permutation indices that put a power-of-two range in bit-reversed order.
 
-    Built by doubling: reversing m+1 bits of i puts the top bit of i at
-    the bottom, so the order for 2m is 2*rev followed by 2*rev + 1.
+    Built by doubling in one array: reversing m+1 bits of i puts the top
+    bit of i at the bottom, so the order for 2m is 2*rev followed by 2*rev + 1.
     """
-    reversed_idx = np.zeros(1, dtype=np.int64)
-    while reversed_idx.size < n:
-        reversed_idx = np.concatenate((2 * reversed_idx, 2 * reversed_idx + 1))
+    reversed_idx = np.zeros(n, dtype=np.int64)
+    size = 1
+    while size < n:
+        upper = np.multiply(reversed_idx[:size], 2, out=reversed_idx[size : 2 * size])
+        upper += 1
+        reversed_idx[:size] *= 2
+        size *= 2
     return reversed_idx
 
 
@@ -253,22 +258,21 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
     each stage is a fixed sequence of vectorized operations, so the
     summation order (and hence the output bits) is deterministic.
 
-    Twiddles come from one table e^(-2*pi*i*m/n), m < n/2, of which a
-    stage of width size reads every (n/size)-th entry. Its angle
-    2*pi*(m*n/size)/n differs from the per-stage 2*pi*m/size only by
-    power-of-two factors, which scale a float exactly, so the bits agree.
-    Butterflies write the difference, then the sum, in place: the same
-    two roundings as going through temporaries.
+    Twiddles come from one table e^(-2*pi*i*m/n), m < n/2, kept between
+    calls (see _twiddles), of which a stage of width size reads every
+    (n/size)-th entry with the bits of per-stage twiddles. Butterflies
+    write the difference, then the sum, in place: the same two roundings
+    as going through temporaries.
     """
     n = values.size
     data = values[_bit_reversal(n)]
-    table = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    roots = _twiddles(n)[0]
     size = 2
     while size <= n:
         half = size // 2
         view = data.reshape(n // size, size)
         upper = view[:, :half]
-        lower = view[:, half:] * table[:: n // size]
+        lower = view[:, half:] * roots[:: n // size]
         np.subtract(upper, lower, out=view[:, half:])
         np.add(upper, lower, out=upper)
         size *= 2
@@ -276,16 +280,36 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
 
 
 def _split_twiddles(n: int) -> np.ndarray:
-    """w^k = e^(-2*pi*i*k/n) for k = 1 .. n/4, from one cosine table.
+    """-0.5j * w^k, w = e^(-2*pi*i/n), for k = 1 .. n/4, from one cosine table.
 
     sin(2*pi*k/n) = cos(2*pi*(n/4 - k)/n), so the sines are the cosines
-    read backwards.
+    read backwards. Folding in the odd half's factor 1/2i = -0.5j is exact.
     """
-    cosines = np.cos(2.0 * np.pi / n * np.arange(n // 4 + 1))
+    cosines = np.cos(2.0 * np.pi / n * np.arange(n // 4 + 1)) * -0.5
     twiddles = np.empty(n // 4, dtype=np.complex128)
-    twiddles.real = cosines[1:]
-    twiddles.imag = -cosines[-2::-1]
+    twiddles.real = cosines[-2::-1]
+    twiddles.imag = cosines[1:]
     return twiddles
+
+
+_TABLES = (0, None, None)  # n, roots, split twiddles of the largest _fft_array so far
+
+
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only roots for an n-point _fft_array and split twiddles for 2n samples.
+
+    Built for the largest n so far, N; a smaller n reads every (N/n)-th entry, whose
+    angle differs from its own by a power of two, so the bits equal a fresh table's.
+    """
+    global _TABLES
+    largest, roots, split = _TABLES  # one read, so another thread's swap cannot split it
+    if largest < n:
+        roots = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+        split = _split_twiddles(2 * n)
+        roots.flags.writeable = split.flags.writeable = False
+        largest, _TABLES = n, (n, roots, split)
+    step = largest // n
+    return roots[::step], split[step - 1 :: step]
 
 
 def _rfft_array(samples: np.ndarray) -> np.ndarray:
@@ -294,6 +318,7 @@ def _rfft_array(samples: np.ndarray) -> np.ndarray:
     Bins 0 .. n/2 come from splitting the packed transform (module
     docstring); bins 0 and n/2 are real sums, and the upper half is the
     exact conjugate of the lower, so the result is Hermitian bit for bit.
+    Bins n/2 - k are written first, so k = n/4, its own partner, ends as X[k].
     """
     n = samples.size
     if n == 1:
@@ -305,11 +330,13 @@ def _rfft_array(samples: np.ndarray) -> np.ndarray:
     bins[m] = packed[0].real - packed[0].imag
     ahead = packed[1 : h + 1]  # Z[k], k = 1 .. n/4
     behind = np.conj(packed[m - h :][::-1])  # conj(Z[m - k])
-    even = (ahead + behind) * 0.5
+    even = np.add(ahead, behind, out=bins[1 : h + 1])
+    even *= 0.5
     odd = np.subtract(ahead, behind, out=behind)
-    odd *= _split_twiddles(n) * -0.5j  # w^k * O[k]
-    np.conjugate(even - odd, out=bins[m - h : m][::-1])
-    np.add(even, odd, out=bins[1 : h + 1])
+    odd *= _twiddles(m)[1]  # w^k * O[k]
+    mirror = np.subtract(even[:-1], odd[:-1], out=bins[h + 1 : m][::-1])
+    np.conjugate(mirror, out=mirror)
+    even += odd
     np.conjugate(bins[1:m][::-1], out=bins[m + 1 :])
     return bins
 
@@ -335,11 +362,14 @@ def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
     packed[0] = complex((first + last) / n, (last - first) / n)
     ahead = half[1 : h + 1]  # X[k], k = 1 .. n/4
     behind = np.conj(half[m - h : m][::-1])  # conj(X[m - k])
-    even = (ahead + behind) / n
+    even = np.add(ahead, behind, out=packed[1 : h + 1])
+    even /= n
     odd = np.subtract(ahead, behind, out=behind)
-    odd *= np.conj(_split_twiddles(n)) * (1j / n)  # i * O[k]
-    np.subtract(even, odd, out=packed[m - h :][::-1])
-    np.conjugate(even + odd, out=packed[1 : h + 1])
+    odd *= np.conj(_twiddles(m)[1]) * (2.0 / n)  # i * O[k]
+    np.subtract(even[:-1], odd[:-1], out=packed[h + 1 :][::-1])
+    even += odd
+    np.conjugate(even, out=even)
+    del behind, odd  # the split's one temporary, freed before the inner FFT
     time = _fft_array(packed)
     np.negative(time.imag, out=time.imag)
     return time.view(np.float64)

@@ -12,6 +12,8 @@ import csv
 import io
 import math
 import struct
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import dftkit.analysis
 import dftkit.cli
+import dftkit.transform
 from dftkit import (
     A4_HZ,
     DEFAULT_NAIVE_LIMIT,
@@ -263,6 +266,53 @@ def oracle_fft_array(values: np.ndarray) -> np.ndarray:
 
 def oracle_ifft_array(values: np.ndarray) -> np.ndarray:
     return np.conj(_fft_array(np.conj(values))) / values.size
+
+
+def oracle_split_twiddles(n: int) -> np.ndarray:
+    cosines = np.cos(2.0 * np.pi / n * np.arange(n // 4 + 1))
+    twiddles = np.empty(n // 4, dtype=np.complex128)
+    twiddles.real = cosines[1:]
+    twiddles.imag = -cosines[-2::-1]
+    return twiddles
+
+
+def oracle_rfft_array(samples: np.ndarray) -> np.ndarray:
+    n = samples.size
+    if n == 1:
+        return samples.astype(np.complex128)
+    m, h = n // 2, n // 4
+    packed = oracle_fft_array(np.ascontiguousarray(samples).view(np.complex128))
+    bins = np.empty(n, dtype=np.complex128)
+    bins[0] = packed[0].real + packed[0].imag
+    bins[m] = packed[0].real - packed[0].imag
+    ahead = packed[1 : h + 1]  # Z[k], k = 1 .. n/4
+    behind = np.conj(packed[m - h :][::-1])  # conj(Z[m - k])
+    even = (ahead + behind) * 0.5
+    odd = np.subtract(ahead, behind, out=behind)
+    odd *= oracle_split_twiddles(n) * -0.5j  # w^k * O[k]
+    np.conjugate(even - odd, out=bins[m - h : m][::-1])
+    np.add(even, odd, out=bins[1 : h + 1])
+    np.conjugate(bins[1:m][::-1], out=bins[m + 1 :])
+    return bins
+
+
+def oracle_half_ifft_array(half: np.ndarray, n: int) -> np.ndarray:
+    if n == 1:
+        return half.real[:1].copy()
+    m, h = n // 2, n // 4
+    first, last = half[0].real, half[m].real
+    packed = np.empty(m, dtype=np.complex128)  # conj(Z) / m
+    packed[0] = complex((first + last) / n, (last - first) / n)
+    ahead = half[1 : h + 1]  # X[k], k = 1 .. n/4
+    behind = np.conj(half[m - h : m][::-1])  # conj(X[m - k])
+    even = (ahead + behind) / n
+    odd = np.subtract(ahead, behind, out=behind)
+    odd *= np.conj(oracle_split_twiddles(n)) * (1j / n)  # i * O[k]
+    np.subtract(even, odd, out=packed[m - h :][::-1])
+    np.conjugate(even + odd, out=packed[1 : h + 1])
+    time = oracle_fft_array(packed)
+    np.negative(time.imag, out=time.imag)
+    return time.view(np.float64)
 
 
 def oracle_fft(signal: Signal) -> Spectrum:
@@ -968,6 +1018,65 @@ def test_fft_array_matches_the_loop_version(n, seed, kind):
     expected = oracle_fft_array(values.copy())
     actual = _fft_array(values.copy())
     assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_kept_twiddle_tables_give_the_per_call_bits_in_any_order(monkeypatch, order):
+    # A size read from a larger size's tables must match the tables built
+    # for it alone, whichever sizes ran before it.
+    monkeypatch.setattr(dftkit.transform, "_TABLES", (0, None, None))
+    exponents = range(21) if order == "ascending" else range(20, -1, -1)
+    for exponent in exponents:
+        n = 1 << exponent
+        rng = np.random.default_rng(exponent)
+        samples = rng.uniform(-1.0, 1.0, n)
+        bins = oracle_rfft_array(samples)
+        assert fft(Signal(samples, 8000)).bins.tobytes() == bins.tobytes(), n
+        half = bins[: n // 2 + 1] * rng.uniform(0.0, 4.0, n // 2 + 1)
+        assert _ifft_array(half, n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), n
+        values = complex_input(rng, n, "random")
+        assert _fft_array(values.copy()).tobytes() == oracle_fft_array(values).tobytes(), n
+
+
+def test_threads_that_share_the_twiddle_tables_get_the_per_call_bits(monkeypatch):
+    # Each round starts from empty tables, so the threads race to grow them.
+    sizes = [1 << exponent for exponent in range(1, 15)]
+    inputs = {n: np.random.default_rng(n).uniform(-1.0, 1.0, n) for n in sizes}
+    expected = {n: oracle_rfft_array(inputs[n]).tobytes() for n in sizes}
+    failures = []
+
+    def run(order):
+        try:
+            for n in order:
+                if fft(Signal(inputs[n], 8000)).bins.tobytes() != expected[n]:
+                    failures.append(n)
+        except Exception as error:  # a thread's error would otherwise be lost
+            failures.append(error)
+
+    rng = np.random.default_rng(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            monkeypatch.setattr(dftkit.transform, "_TABLES", (0, None, None))
+            threads = [
+                threading.Thread(target=run, args=(rng.permutation(sizes).tolist(),))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+
+
+def test_twiddle_tables_are_read_only():
+    for table in dftkit.transform._twiddles(8) + dftkit.transform._TABLES[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -343,3 +343,40 @@ class TestPadding:
         original_dc = dft_naive(signal).bins[0]
         padded_dc = fft(padded).bins[0]
         assert padded_dc == pytest.approx(original_dc, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Twiddle tables
+# ---------------------------------------------------------------------------
+
+
+class TestTwiddleTableMemory:
+    """Peak traced memory at 2**18 samples, in multiples of the padded signal.
+
+    The kept tables hold one padded signal for the largest transform so
+    far. A cold call builds them inside the measurement; a warm call
+    finds them built and reads views.
+    """
+
+    signal = Signal(np.random.default_rng(13).uniform(-1.0, 1.0, 2**18), 44100)
+
+    def peak_signals(self, call) -> float:
+        tracemalloc.start()
+        try:
+            call(self.signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / self.signal.samples.nbytes
+
+    def test_warm_equalize(self):
+        equalize(self.signal, preset("treble"))
+        assert self.peak_signals(lambda s: equalize(s, preset("treble"))) <= 5.5
+
+    def test_cold_analyze(self, monkeypatch):
+        monkeypatch.setattr(dftkit.transform, "_TABLES", (0, None, None))
+        assert self.peak_signals(analyze) <= 5.05
+
+    def test_warm_analyze(self):
+        analyze(self.signal)
+        assert self.peak_signals(analyze) <= 4.05
