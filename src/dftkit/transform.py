@@ -11,6 +11,10 @@ The permutation is built by doubling. The twiddles are built once per
 process, for the largest transform so far; a smaller power of two reads
 strided views of them with the bits of its own tables (see _twiddles).
 
+Large transforms run their butterflies on two threads: F_n P = [[I, D], [I, -D]]
+diag(F_{n/2}, F_{n/2}) (Van Loan, Computational Frameworks for the FFT, SIAM
+1992) splits all stages but the last into two half transforms, the last into pairs.
+
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
 i*x[2j+1], whose m-point transform Z holds the transforms of the even
@@ -27,6 +31,8 @@ computed. The inverse runs the same identities backwards.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -251,6 +257,48 @@ def _bit_reversal(n: int) -> np.ndarray:
     return reversed_idx
 
 
+_SPLIT_MIN = 1 << 15  # _fft_array uses two threads from this many points on, given two CPUs
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _butterfly(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> None:
+    """upper, lower = upper + w*lower, upper - w*lower, in place through scratch."""
+    np.multiply(lower, w, out=scratch)
+    np.subtract(upper, scratch, out=lower)
+    np.add(upper, scratch, out=upper)
+
+
+def _stages(data: np.ndarray, scratch: np.ndarray, roots: np.ndarray, top: int) -> None:
+    """Stages of width 2 .. top over data; roots are the m/2 of an m-point transform."""
+    size = 2
+    while size <= top:
+        half = size // 2
+        view, w = data.reshape(-1, size), roots[:: roots.size // half]
+        _butterfly(view[:, :half], view[:, half:], w, scratch.reshape(-1, half))
+        size *= 2
+
+
+def _in_halves(work, *arrays: np.ndarray, **common) -> None:
+    """work on the arrays' first halves here and on their second halves on a helper thread."""
+    here, there = zip(*[(array[: array.size // 2], array[array.size // 2 :]) for array in arrays])
+    errors = []
+
+    def helper():
+        try:
+            work(*there, **common)
+        except BaseException as error:  # raised here once both halves end, not lost to excepthook
+            errors.append(error)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        work(*here, **common)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _fft_array(values: np.ndarray) -> np.ndarray:
     """Iterative radix-2 decimation-in-time FFT of a complex array.
 
@@ -263,53 +311,55 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
     (n/size)-th entry with the bits of per-stage twiddles. Butterflies
     write the difference, then the sum, in place: the same two roundings
     as going through temporaries.
+
+    From _SPLIT_MIN points on, with two CPUs, the half transforms and then the last
+    stage's halves run on two threads (module docstring; numpy releases the GIL in
+    its ufuncs). Each element sees the same operations, so the bits are unchanged.
     """
     n = values.size
     data = values[_bit_reversal(n)]
-    roots = _twiddles(n)[0]
-    size = 2
-    while size <= n:
-        half = size // 2
-        view = data.reshape(n // size, size)
-        upper = view[:, :half]
-        lower = view[:, half:] * roots[:: n // size]
-        np.subtract(upper, lower, out=view[:, half:])
-        np.add(upper, lower, out=upper)
-        size *= 2
+    roots = _twiddles(_roots, n)
+    scratch = np.empty(n // 2, dtype=np.complex128)  # the helper thread allocates no array
+    if n < _SPLIT_MIN or _CPUS < 2:
+        _stages(data, scratch, roots, n)
+        return data
+    _in_halves(_stages, data, scratch, roots=roots, top=n // 2)
+    _in_halves(_butterfly, data[: n // 2], data[n // 2 :], roots, scratch)
     return data
 
 
+def _roots(n: int) -> np.ndarray:
+    """e^(-2*pi*i*m/n) for m < n/2, the butterfly roots of an n-point transform."""
+    return np.exp(-2j * np.pi * np.arange(n // 2) / n)
+
+
 def _split_twiddles(n: int) -> np.ndarray:
-    """-0.5j * w^k, w = e^(-2*pi*i/n), for k = 1 .. n/4, from one cosine table.
+    """-0.5j * w^k, w = e^(-2*pi*i/n), for k = 0 (never read) .. n/4, from one cosine table.
 
     sin(2*pi*k/n) = cos(2*pi*(n/4 - k)/n), so the sines are the cosines
     read backwards. Folding in the odd half's factor 1/2i = -0.5j is exact.
     """
     cosines = np.cos(2.0 * np.pi / n * np.arange(n // 4 + 1)) * -0.5
-    twiddles = np.empty(n // 4, dtype=np.complex128)
-    twiddles.real = cosines[-2::-1]
-    twiddles.imag = cosines[1:]
+    twiddles = np.empty(n // 4 + 1, dtype=np.complex128)
+    twiddles.real = cosines[::-1]
+    twiddles.imag = cosines
     return twiddles
 
 
-_TABLES = (0, None, None)  # n, roots, split twiddles of the largest _fft_array so far
+_TABLES = {}  # builder -> (N, read-only builder(N)) for the largest N asked of it so far
 
 
-def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only roots for an n-point _fft_array and split twiddles for 2n samples.
+def _twiddles(build, n: int) -> np.ndarray:
+    """build(n), read-only: every (N/n)-th entry of build(N), kept for the largest n so far.
 
-    Built for the largest n so far, N; a smaller n reads every (N/n)-th entry, whose
-    angle differs from its own by a power of two, so the bits equal a fresh table's.
+    Those entries' angles differ from n's own by powers of two, so the bits equal a fresh table's.
     """
-    global _TABLES
-    largest, roots, split = _TABLES  # one read, so another thread's swap cannot split it
+    largest, table = _TABLES.get(build, (0, None))  # one read, so a racing store cannot split it
     if largest < n:
-        roots = np.exp(-2j * np.pi * np.arange(n // 2) / n)
-        split = _split_twiddles(2 * n)
-        roots.flags.writeable = split.flags.writeable = False
-        largest, _TABLES = n, (n, roots, split)
-    step = largest // n
-    return roots[::step], split[step - 1 :: step]
+        largest, table = n, build(n)
+        table.flags.writeable = False
+        _TABLES[build] = (n, table)
+    return table[:: largest // n]
 
 
 def _rfft_array(samples: np.ndarray) -> np.ndarray:
@@ -333,7 +383,7 @@ def _rfft_array(samples: np.ndarray) -> np.ndarray:
     even = np.add(ahead, behind, out=bins[1 : h + 1])
     even *= 0.5
     odd = np.subtract(ahead, behind, out=behind)
-    odd *= _twiddles(m)[1]  # w^k * O[k]
+    odd *= _twiddles(_split_twiddles, n)[1:]  # w^k * O[k]
     mirror = np.subtract(even[:-1], odd[:-1], out=bins[h + 1 : m][::-1])
     np.conjugate(mirror, out=mirror)
     even += odd
@@ -365,7 +415,7 @@ def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
     even = np.add(ahead, behind, out=packed[1 : h + 1])
     even /= n
     odd = np.subtract(ahead, behind, out=behind)
-    odd *= np.conj(_twiddles(m)[1]) * (2.0 / n)  # i * O[k]
+    odd *= np.conj(_twiddles(_split_twiddles, n)[1:]) * (2.0 / n)  # i * O[k]
     np.subtract(even[:-1], odd[:-1], out=packed[h + 1 :][::-1])
     even += odd
     np.conjugate(even, out=even)

@@ -1007,7 +1007,8 @@ def complex_input(rng, n, kind):
     return parts[0] + 1j * parts[1]
 
 
-@pytest.mark.parametrize("n", POW2)
+# 2**15 .. 2**18 are at or above _SPLIT_MIN, so they run on two threads
+@pytest.mark.parametrize("n", POW2 + [1 << p for p in range(15, 19)])
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1016,15 +1017,28 @@ def complex_input(rng, n, kind):
 def test_fft_array_matches_the_loop_version(n, seed, kind):
     values = complex_input(np.random.default_rng(seed), n, kind)
     expected = oracle_fft_array(values.copy())
-    actual = _fft_array(values.copy())
+    with mock.patch.object(dftkit.transform, "_CPUS", 2):  # whatever CPUs this process may use
+        actual = _fft_array(values.copy())
     assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("exponent", range(15, 21))
+def test_two_thread_fft_array_matches_the_one_thread_path(monkeypatch, exponent):
+    n = 1 << exponent
+    for kind in ["signed-zeros", "small-integers", "real", "random"]:
+        values = complex_input(np.random.default_rng(exponent), n, kind)
+        monkeypatch.setattr(dftkit.transform, "_CPUS", 1)
+        one = _fft_array(values.copy())
+        monkeypatch.setattr(dftkit.transform, "_CPUS", 2)
+        two = _fft_array(values.copy())
+        assert one.tobytes() == two.tobytes(), kind
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
 def test_kept_twiddle_tables_give_the_per_call_bits_in_any_order(monkeypatch, order):
     # A size read from a larger size's tables must match the tables built
     # for it alone, whichever sizes ran before it.
-    monkeypatch.setattr(dftkit.transform, "_TABLES", (0, None, None))
+    monkeypatch.setattr(dftkit.transform, "_TABLES", {})
     exponents = range(21) if order == "ascending" else range(20, -1, -1)
     for exponent in exponents:
         n = 1 << exponent
@@ -1038,9 +1052,10 @@ def test_kept_twiddle_tables_give_the_per_call_bits_in_any_order(monkeypatch, or
         assert _fft_array(values.copy()).tobytes() == oracle_fft_array(values).tobytes(), n
 
 
-def test_threads_that_share_the_twiddle_tables_get_the_per_call_bits(monkeypatch):
+def race_four_callers(monkeypatch, exponents, rounds):
     # Each round starts from empty tables, so the threads race to grow them.
-    sizes = [1 << exponent for exponent in range(1, 15)]
+    monkeypatch.setattr(dftkit.transform, "_CPUS", 2)
+    sizes = [1 << exponent for exponent in exponents]
     inputs = {n: np.random.default_rng(n).uniform(-1.0, 1.0, n) for n in sizes}
     expected = {n: oracle_rfft_array(inputs[n]).tobytes() for n in sizes}
     failures = []
@@ -1057,8 +1072,8 @@ def test_threads_that_share_the_twiddle_tables_get_the_per_call_bits(monkeypatch
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(40):
-            monkeypatch.setattr(dftkit.transform, "_TABLES", (0, None, None))
+        for _ in range(rounds):
+            monkeypatch.setattr(dftkit.transform, "_TABLES", {})
             threads = [
                 threading.Thread(target=run, args=(rng.permutation(sizes).tolist(),))
                 for _ in range(4)
@@ -1073,8 +1088,20 @@ def test_threads_that_share_the_twiddle_tables_get_the_per_call_bits(monkeypatch
     assert failures == []
 
 
+def test_threads_that_share_the_twiddle_tables_get_the_per_call_bits(monkeypatch):
+    race_four_callers(monkeypatch, range(1, 15), rounds=40)
+
+
+def test_callers_on_four_threads_get_the_per_call_bits_from_two_thread_transforms(monkeypatch):
+    # fft of 2**16 .. 2**18 samples runs _fft_array on 2**15 .. 2**17 points
+    race_four_callers(monkeypatch, range(16, 19), rounds=4)
+
+
 def test_twiddle_tables_are_read_only():
-    for table in dftkit.transform._twiddles(8) + dftkit.transform._TABLES[1:]:
+    transform = dftkit.transform
+    fft(Signal(np.ones(16), 8000))  # builds both kept tables
+    views = [transform._twiddles(transform._roots, 8), transform._twiddles(transform._split_twiddles, 16)]
+    for table in views + [table for _, table in transform._TABLES.values()]:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0.0
 

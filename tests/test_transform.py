@@ -5,6 +5,7 @@ bins[k] = sum_j x[j] * exp(-2*pi*i*j*k/n) before any implementation
 existed, so they are independent of the code under test.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from dftkit import (
     pad_to_pow2,
     preset,
 )
+from dftkit.cli import main
 
 # sin ramp [0, 1, 0, -1]: bin 1 = -i*(n/2), bin 3 its conjugate, rest zero
 SIN4_TIME = np.array([0.0, 1.0, 0.0, -1.0])
@@ -374,9 +376,88 @@ class TestTwiddleTableMemory:
         assert self.peak_signals(lambda s: equalize(s, preset("treble"))) <= 5.5
 
     def test_cold_analyze(self, monkeypatch):
-        monkeypatch.setattr(dftkit.transform, "_TABLES", (0, None, None))
+        monkeypatch.setattr(dftkit.transform, "_TABLES", {})
         assert self.peak_signals(analyze) <= 5.05
 
     def test_warm_analyze(self):
         analyze(self.signal)
         assert self.peak_signals(analyze) <= 4.05
+
+    def test_two_threads_take_no_more_than_one(self, monkeypatch):
+        # the caller allocates the scratch of both halves, so the helper allocates no array
+        analyze(self.signal)
+        peaks = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+            peaks[cpus] = self.peak_signals(analyze)
+        assert peaks[2] <= peaks[1] + 0.01
+
+    def test_ifft_keeps_one_signal_of_tables(self, monkeypatch):
+        n = 2**16
+        signal = Signal(np.random.default_rng(5).uniform(-1.0, 1.0, n), 8000)
+
+        def kept_signals(call):
+            monkeypatch.setattr(dftkit.transform, "_TABLES", {})
+            call()
+            return sum(t.nbytes for _, t in dftkit.transform._TABLES.values()) / (n * 8)
+
+        spectrum = fft(signal)
+        assert kept_signals(lambda: ifft(spectrum)) == 1.0  # roots only, no split twiddles
+        assert 1.0 <= kept_signals(lambda: fft(signal)) <= 1.001  # split twiddles add one entry
+
+
+# ---------------------------------------------------------------------------
+# Butterflies on two threads
+# ---------------------------------------------------------------------------
+
+
+class TestTwoThreads:
+    """From _SPLIT_MIN points on, _fft_array runs half its butterflies on a helper thread."""
+
+    def test_helper_runs_no_traced_function(self, monkeypatch):
+        # perfbench's span stack is per process, so every function it wraps
+        # must run on the caller's thread
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", 2)
+        threads = {}
+
+        def recorded(name):
+            original = getattr(transform, name)
+
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(transform, name, wrapper)
+
+        for name in ("_bit_reversal", "_twiddles", "_fft_array", "_stages"):
+            recorded(name)
+        fft(Signal(np.random.default_rng(3).uniform(-1.0, 1.0, 2**17), 8000))
+        caller = {threading.get_ident()}
+        assert threads["_bit_reversal"] == threads["_twiddles"] == threads["_fft_array"] == caller
+        assert len(threads["_stages"]) == 2  # the split ran, half of it on a helper
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_an_error_in_either_half_reaches_the_cli(self, tmp_path, capsys, monkeypatch, where):
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        assert main(["synth", str(wav), "--freqs", "440", "--duration", "1.0"]) == 0  # 2**16 padded
+        capsys.readouterr()
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", 2)
+        caller, butterfly = threading.get_ident(), transform._butterfly
+
+        def failing(*args):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise MemoryError
+            butterfly(*args)
+
+        hooked = []
+        monkeypatch.setattr(transform, "_butterfly", failing)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        threads = threading.active_count()
+        code = main(["equalize", str(wav), str(out), "--preset", "treble"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["error: out of memory"]
+        assert hooked == []
+        assert threading.active_count() == threads
