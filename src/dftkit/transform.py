@@ -3,17 +3,25 @@
 One normalization convention throughout: the forward sum carries no
 prefactor, the inverse carries 1/n. The naive O(n^2) paths walk the
 rows of one transform matrix F, so it is never materialized unless
-asked for; the fast paths are an iterative radix-2 decimation-in-time
-butterfly over bit-reversed input. Both inverses are conj(F conj(X)) / n
-over their forward kernel.
+asked for; the fast paths are a radix-2 decimation-in-time FFT. Both
+inverses are conj(F conj(X)) / n over their forward kernel.
 
-The permutation is built by doubling. The twiddles are built once per
-process, for the largest transform so far; a smaller power of two reads
-strided views of them with the bits of its own tables (see _twiddles).
+The FFT runs its first stages on blocks of at most _BLOCK points in the
+constant geometry of Pease (An Adaptation of the Fast Fourier Transform
+for Parallel Processing, J. ACM 15(2), 1968), with twiddles read as a
+prefix of one table of roots in bit-reversed order, and its wider stages
+in place in contiguous chunks, so numpy sees no short rows. No twiddle
+but w = 1 reaches numpy's complex multiply with stride 0 on the inner
+axis, whose loop for that case rounds differently (see _fft_array).
+
+Permutations are built by doubling. The twiddles are built once per
+process, for the largest transform or block so far; a smaller power of
+two reads views of them with the bits of its own tables (see _twiddles).
 
 Large transforms run their butterflies on two threads: F_n P = [[I, D], [I, -D]]
 diag(F_{n/2}, F_{n/2}) (Van Loan, Computational Frameworks for the FFT, SIAM
-1992) splits all stages but the last into two half transforms, the last into pairs.
+1992) splits all stages but the last into two half transforms, of the even and
+of the odd samples, and the last into pairs.
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -257,8 +265,9 @@ def _bit_reversal(n: int) -> np.ndarray:
     return reversed_idx
 
 
-_SPLIT_MIN = 1 << 15  # _fft_array uses two threads from this many points on, given two CPUs
+_SPLIT_MIN = 1 << 16  # _fft_array uses two threads from this many points on, given two CPUs
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_BLOCK = 1 << 15  # _fft_array runs its first stages on blocks of at most this many points
 
 
 def _butterfly(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> None:
@@ -268,19 +277,46 @@ def _butterfly(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.
     np.add(upper, scratch, out=upper)
 
 
-def _stages(data: np.ndarray, scratch: np.ndarray, roots: np.ndarray, top: int) -> None:
-    """Stages of width 2 .. top over data; roots are the m/2 of an m-point transform."""
-    size = 2
-    while size <= top:
-        half = size // 2
-        view, w = data.reshape(-1, size), roots[:: roots.size // half]
-        _butterfly(view[:, :half], view[:, half:], w, scratch.reshape(-1, half))
-        size *= 2
+def _chunked(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> None:
+    """_butterfly over contiguous 1-d chunks of at most scratch.size pairs."""
+    step = min(upper.size, scratch.size)
+    for start in range(0, upper.size, step):
+        part = slice(start, start + step)
+        _butterfly(upper[part], lower[part], w[part], scratch[:step])
 
 
-def _in_halves(work, *arrays: np.ndarray, **common) -> None:
-    """work on the arrays' first halves here and on their second halves on a helper thread."""
-    here, there = zip(*[(array[: array.size // 2], array[array.size // 2 :]) for array in arrays])
+def _transform(values, data, scratch, *, starts, gather, ordered, roots) -> None:
+    """The DFT of values into data, in blocks of scratch.size points, then the wider stages.
+
+    Block k is the DFT of values[starts[k] :: blocks], run in Pease form between
+    the block and the buffer, which holds the last stage; gather puts it in order.
+    ordered and roots are the tables of _fft_array's docstring.
+    """
+    nb, middle = scratch.size, scratch.size // 2
+    blocks = data.reshape(-1, nb)
+    for block, start in zip(blocks, starts):
+        # start where the log2(nb) stages, alternating, end in the buffer
+        source, target = (block, scratch) if nb.bit_length() % 2 == 0 else (scratch, block)
+        source[:] = values[start :: len(blocks)]
+        h = 1
+        while h < nb:
+            upper, lower = source[:middle], source[middle:]
+            rows = lower.reshape(-1, h)
+            rows *= ordered[:h]
+            np.add(upper, lower, out=target[0::2])
+            np.subtract(upper, lower, out=target[1::2])
+            source, target, h = target, source, h * 2
+        np.take(scratch, gather, out=block, mode="clip")  # "raise" would buffer the output
+    h = nb
+    while h < data.size:
+        for row in data.reshape(-1, 2 * h):
+            _chunked(row[:h], row[h:], roots[:: roots.size // h], scratch)
+        h *= 2
+
+
+def _in_halves(work, *pairs: np.ndarray, **common) -> None:
+    """work on row 0 of each (2, m) array here and on row 1 on a helper thread."""
+    here, there = zip(*pairs)
     errors = []
 
     def helper():
@@ -300,37 +336,76 @@ def _in_halves(work, *arrays: np.ndarray, **common) -> None:
 
 
 def _fft_array(values: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT of a complex array.
+    """Radix-2 decimation-in-time FFT of a complex power-of-two array.
 
-    Butterflies are evaluated stage by stage on the bit-reversed input;
-    each stage is a fixed sequence of vectorized operations, so the
-    summation order (and hence the output bits) is deterministic.
+    Every butterfly is the one fixed sequence t = w*lower, upper + t,
+    upper - t, with the same twiddle bits whatever the layout, so the
+    output bits do not depend on how the stages are scheduled.
 
-    Twiddles come from one table e^(-2*pi*i*m/n), m < n/2, kept between
-    calls (see _twiddles), of which a stage of width size reads every
-    (n/size)-th entry with the bits of per-stage twiddles. Butterflies
-    write the difference, then the sum, in place: the same two roundings
-    as going through temporaries.
+    The first log2(nb) stages, nb = min(n, _BLOCK), run on blocks: block
+    k of the output is the nb-point DFT of values[rev(k) :: n/nb], where
+    rev reverses log2(n/nb) bits. A block runs in Pease's constant
+    geometry (J. ACM 15(2), 1968): each stage pairs the two contiguous
+    halves of its source and writes sums and differences to the even
+    and odd slots of its target, so every operand is 1-d contiguous or
+    strided. The twiddles of the stage of width 2h are the first h
+    entries of one table R of roots in bit-reversed order, multiplied
+    row by row into the lower half seen as rows of h, so no twiddle
+    reaches numpy's complex multiply with stride 0 on the inner axis
+    (as a 0-d scalar, or one per column), which takes another inner
+    loop with other bits. The one exception is the stage of width 2: it
+    still multiplies by w = 1, which keeps the signs of zeros, and that
+    product is exact in either loop. A block ends in bit-reversed order
+    and is gathered into place.
 
-    From _SPLIT_MIN points on, with two CPUs, the half transforms and then the last
-    stage's halves run on two threads (module docstring; numpy releases the GIL in
-    its ufuncs). Each element sees the same operations, so the bits are unchanged.
+    The stages wider than a block run in place, each row in contiguous
+    1-d chunks of at most nb pairs through the block buffer. Twiddles
+    come from the kept tables (see _twiddles): R, read as a prefix, and
+    the roots e^(-2*pi*i*m/n), m < n/2, of which a stage of width 2h
+    reads every (n/2h)-th entry.
+
+    From _SPLIT_MIN points on, with two CPUs, the half transforms (of the
+    even and the odd samples, each in its own blocks of min(n/2, _BLOCK))
+    and then the last stage's halves run on two threads (module docstring;
+    numpy releases the GIL in its ufuncs). The caller builds every table
+    and both block buffers first, so the helper thread allocates no array
+    and calls only _transform, _chunked and _butterfly.
     """
     n = values.size
-    data = values[_bit_reversal(n)]
-    roots = _twiddles(_roots, n)
-    scratch = np.empty(n // 2, dtype=np.complex128)  # the helper thread allocates no array
-    if n < _SPLIT_MIN or _CPUS < 2:
-        _stages(data, scratch, roots, n)
+    split = n >= _SPLIT_MIN and _CPUS >= 2
+    part = n // 2 if split else n
+    nb = min(part, _BLOCK)
+    data = np.empty(n, dtype=np.complex128)
+    scratch = np.empty(2 * nb if split else nb, dtype=np.complex128)
+    tables = {
+        "starts": _bit_reversal(part // nb),
+        "gather": _bit_reversal(nb),
+        "ordered": _kept(_ordered_roots, nb)[1][: nb // 2],
+        "roots": _twiddles(_roots, n) if n > nb else None,
+    }
+    if not split:
+        _transform(values, data, scratch, **tables)
         return data
-    _in_halves(_stages, data, scratch, roots=roots, top=n // 2)
-    _in_halves(_butterfly, data[: n // 2], data[n // 2 :], roots, scratch)
+    _in_halves(
+        _transform,
+        values.reshape(2, -1, order="F"),  # the even and the odd samples
+        data.reshape(2, -1),
+        scratch.reshape(2, -1),
+        **tables,
+    )
+    upper, lower = data.reshape(2, 2, -1)
+    _in_halves(_chunked, upper, lower, tables["roots"].reshape(2, -1), scratch.reshape(2, -1))
     return data
 
 
 def _roots(n: int) -> np.ndarray:
     """e^(-2*pi*i*m/n) for m < n/2, the butterfly roots of an n-point transform."""
     return np.exp(-2j * np.pi * np.arange(n // 2) / n)
+
+
+def _ordered_roots(n: int) -> np.ndarray:
+    """_roots(n) in bit-reversed order; the first h entries are the twiddles of width 2h."""
+    return _roots(n)[_bit_reversal(n // 2)]
 
 
 def _split_twiddles(n: int) -> np.ndarray:
@@ -349,16 +424,22 @@ def _split_twiddles(n: int) -> np.ndarray:
 _TABLES = {}  # builder -> (N, read-only builder(N)) for the largest N asked of it so far
 
 
-def _twiddles(build, n: int) -> np.ndarray:
-    """build(n), read-only: every (N/n)-th entry of build(N), kept for the largest n so far.
-
-    Those entries' angles differ from n's own by powers of two, so the bits equal a fresh table's.
-    """
+def _kept(build, n: int) -> tuple[int, np.ndarray]:
+    """(N, build(N)), read-only, for the largest N >= n asked of build so far."""
     largest, table = _TABLES.get(build, (0, None))  # one read, so a racing store cannot split it
     if largest < n:
         largest, table = n, build(n)
         table.flags.writeable = False
         _TABLES[build] = (n, table)
+    return largest, table
+
+
+def _twiddles(build, n: int) -> np.ndarray:
+    """build(n), read-only: every (N/n)-th entry of the kept build(N).
+
+    Those entries' angles differ from n's own by powers of two, so the bits equal a fresh table's.
+    """
+    largest, table = _kept(build, n)
     return table[:: largest // n]
 
 

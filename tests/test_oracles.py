@@ -1004,10 +1004,12 @@ def complex_input(rng, n, kind):
         parts = np.stack([rng.uniform(-1.0, 1.0, n), np.zeros(n)])
     else:
         parts = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-8, 9)
-    return parts[0] + 1j * parts[1]
+    values = np.empty(n, dtype=np.complex128)
+    values.real, values.imag = parts  # parts[0] + 1j * parts[1] would turn each -0.0 imaginary part into +0.0
+    return values
 
 
-# 2**15 .. 2**18 are at or above _SPLIT_MIN, so they run on two threads
+# 2**16 .. 2**18 are at or above _SPLIT_MIN, so they run on two threads
 @pytest.mark.parametrize("n", POW2 + [1 << p for p in range(15, 19)])
 @settings(max_examples=8, deadline=None)
 @given(
@@ -1032,6 +1034,31 @@ def test_two_thread_fft_array_matches_the_one_thread_path(monkeypatch, exponent)
         monkeypatch.setattr(dftkit.transform, "_CPUS", 2)
         two = _fft_array(values.copy())
         assert one.tobytes() == two.tobytes(), kind
+
+
+@pytest.mark.parametrize("exponent", range(16, 21))
+def test_one_thread_fft_array_matches_the_loop_version(monkeypatch, exponent):
+    # several blocks of _BLOCK points, then the wider stages in chunks, on one thread
+    monkeypatch.setattr(dftkit.transform, "_CPUS", 1)
+    n = 1 << exponent
+    for kind in ["signed-zeros", "small-integers", "real", "random"]:
+        values = complex_input(np.random.default_rng(exponent), n, kind)
+        assert _fft_array(values.copy()).tobytes() == oracle_fft_array(values).tobytes(), kind
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 16])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_small_blocks_match_the_loop_version(monkeypatch, block, cpus):
+    # tiny blocks put block and chunk boundaries inside every small transform;
+    # a split needs two pairs per half of the last stage, so it starts at 4 points here
+    monkeypatch.setattr(dftkit.transform, "_BLOCK", block)
+    monkeypatch.setattr(dftkit.transform, "_SPLIT_MIN", 4)
+    monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+    for exponent in range(13):
+        n = 1 << exponent
+        for kind in ["signed-zeros", "small-integers", "real", "random"]:
+            values = complex_input(np.random.default_rng(exponent), n, kind)
+            assert _fft_array(values.copy()).tobytes() == oracle_fft_array(values).tobytes(), (n, kind)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
@@ -1093,7 +1120,7 @@ def test_threads_that_share_the_twiddle_tables_get_the_per_call_bits(monkeypatch
 
 
 def test_callers_on_four_threads_get_the_per_call_bits_from_two_thread_transforms(monkeypatch):
-    # fft of 2**16 .. 2**18 samples runs _fft_array on 2**15 .. 2**17 points
+    # fft of 2**16 .. 2**18 samples runs _fft_array on 2**15 .. 2**17 points, from 2**16 on two threads
     race_four_callers(monkeypatch, range(16, 19), rounds=4)
 
 

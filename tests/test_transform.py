@@ -399,11 +399,22 @@ class TestTwiddleTableMemory:
         def kept_signals(call):
             monkeypatch.setattr(dftkit.transform, "_TABLES", {})
             call()
-            return sum(t.nbytes for _, t in dftkit.transform._TABLES.values()) / (n * 8)
+            return {build.__name__: t.nbytes / (n * 8) for build, (_, t) in dftkit.transform._TABLES.items()}
 
         spectrum = fft(signal)
-        assert kept_signals(lambda: ifft(spectrum)) == 1.0  # roots only, no split twiddles
-        assert 1.0 <= kept_signals(lambda: fft(signal)) <= 1.001  # split twiddles add one entry
+        # the roots, and R for the 2**15-point blocks (_BLOCK / 2 entries); no split twiddles
+        assert kept_signals(lambda: ifft(spectrum)) == {"_roots": 1.0, "_ordered_roots": 0.5}
+        assert 0.5 < kept_signals(lambda: fft(signal))["_split_twiddles"] <= 0.501  # n/4 + 1 entries
+
+    def test_block_roots_stay_within_one_block(self, monkeypatch):
+        transform = dftkit.transform
+        values = np.random.default_rng(6).standard_normal(2**17).astype(np.complex128)
+        for cpus in (1, 2):
+            monkeypatch.setattr(transform, "_TABLES", {})
+            monkeypatch.setattr(transform, "_CPUS", cpus)
+            transform._fft_array(values)
+            largest, table = transform._TABLES[transform._ordered_roots]
+            assert (largest, table.size) == (transform._BLOCK, transform._BLOCK // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +441,17 @@ class TestTwoThreads:
 
             monkeypatch.setattr(transform, name, wrapper)
 
-        for name in ("_bit_reversal", "_twiddles", "_fft_array", "_stages"):
+        for name in ("_bit_reversal", "_twiddles", "_fft_array", "_transform"):
             recorded(name)
         fft(Signal(np.random.default_rng(3).uniform(-1.0, 1.0, 2**17), 8000))
         caller = {threading.get_ident()}
         assert threads["_bit_reversal"] == threads["_twiddles"] == threads["_fft_array"] == caller
-        assert len(threads["_stages"]) == 2  # the split ran, half of it on a helper
+        assert len(threads["_transform"]) == 2  # the split ran, half of it on a helper
 
     @pytest.mark.parametrize("where", ["helper", "caller"])
     def test_an_error_in_either_half_reaches_the_cli(self, tmp_path, capsys, monkeypatch, where):
         wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
-        assert main(["synth", str(wav), "--freqs", "440", "--duration", "1.0"]) == 0  # 2**16 padded
+        assert main(["synth", str(wav), "--freqs", "440", "--duration", "2.0"]) == 0  # 2**17 padded
         capsys.readouterr()
         transform = dftkit.transform
         monkeypatch.setattr(transform, "_CPUS", 2)
