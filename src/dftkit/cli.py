@@ -141,22 +141,22 @@ class BenchRow:
 def run_bench(sizes: list[int], repeats: int = 5) -> list[BenchRow]:
     """Median wall-clock time of the naive transform vs the fast one.
 
-    Both paths are run once untimed to settle caches, and checked
-    against each other so the comparison cannot silently diverge.
+    Every size first runs both paths once untimed, to settle caches, and
+    checks them against each other, so the comparison cannot silently
+    diverge and a failing size raises before any size is timed.
     """
     if repeats < 1:
         raise DspError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(1234)
-    rows = []
-    for n in sizes:
-        signal = Signal(rng.uniform(-1.0, 1.0, n), 44100)
-        reference = dft_naive(signal).bins
-        candidate = fft(signal).bins
-        gap = float(np.max(np.abs(candidate - reference)))
+    signals = [Signal(rng.uniform(-1.0, 1.0, n), 44100) for n in sizes]
+    for n, signal in zip(sizes, signals):
+        gap = float(np.max(np.abs(dft_naive(signal).bins - fft(signal).bins)))
         if gap > 1e-9 * n:
             raise DspError(
                 f"transform mismatch at n={n}: naive and fast differ by {gap:.3e}"
             )
+    rows = []
+    for n, signal in zip(sizes, signals):
         naive_times = []
         fft_times = []
         for _ in range(repeats):

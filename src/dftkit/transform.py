@@ -6,22 +6,23 @@ rows of one transform matrix F, so it is never materialized unless
 asked for; the fast paths are a radix-2 decimation-in-time FFT. Both
 inverses are conj(F conj(X)) / n over their forward kernel.
 
-The FFT runs its first stages on blocks of at most _BLOCK points in the
-constant geometry of Pease (An Adaptation of the Fast Fourier Transform
-for Parallel Processing, J. ACM 15(2), 1968), with twiddles read as a
-prefix of one table of roots in bit-reversed order, and its wider stages
-in place in contiguous chunks, so numpy sees no short rows. No twiddle
-but w = 1 reaches numpy's complex multiply with stride 0 on the inner
-axis, whose loop for that case rounds differently (see _fft_array).
+The FFT is F_n P = [[I, D], [I, -D]] diag(F_{n/2}, F_{n/2}) (Van Loan,
+Computational Frameworks for the FFT, SIAM 1992): the transforms of the
+even and of the odd samples, then one stage of width n. It halves down
+to blocks of at most _BLOCK points, run in the constant geometry of Pease
+(An Adaptation of the Fast Fourier Transform for Parallel Processing,
+J. ACM 15(2), 1968) with twiddles read as a prefix of one table of roots
+in bit-reversed order; each wider stage runs in place in contiguous
+chunks, so numpy sees no short rows. No twiddle but w = 1 reaches
+numpy's complex multiply with stride 0 on the inner axis, whose loop for
+that case rounds differently (see _fft_array).
 
 Permutations are built by doubling. The twiddles are built once per
 process, for the largest transform or block so far; a smaller power of
 two reads views of them with the bits of its own tables (see _twiddles).
 
-Large transforms run their butterflies on two threads: F_n P = [[I, D], [I, -D]]
-diag(F_{n/2}, F_{n/2}) (Van Loan, Computational Frameworks for the FFT, SIAM
-1992) splits all stages but the last into two half transforms, of the even and
-of the odd samples, and the last into pairs.
+A transform of more than one block runs its two halves, then the two
+halves of its last stage's pairs, on two threads.
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -265,7 +266,6 @@ def _bit_reversal(n: int) -> np.ndarray:
     return reversed_idx
 
 
-_SPLIT_MIN = 1 << 16  # _fft_array uses two threads from this many points on, given two CPUs
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BLOCK = 1 << 15  # _fft_array runs its first stages on blocks of at most this many points
 
@@ -285,33 +285,40 @@ def _chunked(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.nd
         _butterfly(upper[part], lower[part], w[part], scratch[:step])
 
 
-def _transform(values, data, scratch, *, starts, gather, ordered, roots) -> None:
-    """The DFT of values into data, in blocks of scratch.size points, then the wider stages.
+def _transform(values, data, scratch, *, gather, ordered, roots, split=False) -> None:
+    """The DFT of values into data: the DFTs of its halves, then one stage, down to blocks.
 
-    Block k is the DFT of values[starts[k] :: blocks], run in Pease form between
-    the block and the buffer, which holds the last stage; gather puts it in order.
-    ordered and roots are the tables of _fft_array's docstring.
+    A block of gather.size points runs in Pease form between data and the buffer, which
+    holds the last stage; gather puts it in order. With split, the buffer is (2, nb) and
+    the halves, then the halves of the stage's pairs, run on two threads. ordered and
+    roots are the tables of _fft_array's docstring.
     """
-    nb, middle = scratch.size, scratch.size // 2
-    blocks = data.reshape(-1, nb)
-    for block, start in zip(blocks, starts):
-        # start where the log2(nb) stages, alternating, end in the buffer
-        source, target = (block, scratch) if nb.bit_length() % 2 == 0 else (scratch, block)
-        source[:] = values[start :: len(blocks)]
-        h = 1
-        while h < nb:
-            upper, lower = source[:middle], source[middle:]
-            rows = lower.reshape(-1, h)
-            rows *= ordered[:h]
-            np.add(upper, lower, out=target[0::2])
-            np.subtract(upper, lower, out=target[1::2])
-            source, target, h = target, source, h * 2
-        np.take(scratch, gather, out=block, mode="clip")  # "raise" would buffer the output
-    h = nb
-    while h < data.size:
-        for row in data.reshape(-1, 2 * h):
-            _chunked(row[:h], row[h:], roots[:: roots.size // h], scratch)
-        h *= 2
+    nb = gather.size
+    if data.size > nb:
+        tables = {"gather": gather, "ordered": ordered, "roots": roots}
+        # the even samples' DFT into data's first half, the odd samples' into its second
+        halves = values.reshape(2, -1, order="F"), data.reshape(2, -1)
+        twiddles = roots[:: roots.size // (data.size // 2)]
+        if split:
+            _in_halves(_transform, *halves, scratch, **tables)
+            _in_halves(_chunked, *data.reshape(2, 2, -1), twiddles.reshape(2, -1), scratch)
+        else:
+            for half in zip(*halves):
+                _transform(*half, scratch, **tables)
+            _chunked(*data.reshape(2, -1), twiddles, scratch)
+        return
+    # start where the log2(nb) stages, alternating, end in the buffer
+    source, target = (data, scratch) if nb.bit_length() % 2 == 0 else (scratch, data)
+    source[:] = values
+    h = 1
+    while h < nb:
+        upper, lower = source[: nb // 2], source[nb // 2 :]
+        rows = lower.reshape(-1, h)
+        rows *= ordered[:h]
+        np.add(upper, lower, out=target[0::2])
+        np.subtract(upper, lower, out=target[1::2])
+        source, target, h = target, source, h * 2
+    np.take(scratch, gather, out=data, mode="clip")  # "raise" would buffer the output
 
 
 def _in_halves(work, *pairs: np.ndarray, **common) -> None:
@@ -342,59 +349,45 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
     upper - t, with the same twiddle bits whatever the layout, so the
     output bits do not depend on how the stages are scheduled.
 
-    The first log2(nb) stages, nb = min(n, _BLOCK), run on blocks: block
-    k of the output is the nb-point DFT of values[rev(k) :: n/nb], where
-    rev reverses log2(n/nb) bits. A block runs in Pease's constant
-    geometry (J. ACM 15(2), 1968): each stage pairs the two contiguous
-    halves of its source and writes sums and differences to the even
-    and odd slots of its target, so every operand is 1-d contiguous or
-    strided. The twiddles of the stage of width 2h are the first h
-    entries of one table R of roots in bit-reversed order, multiplied
-    row by row into the lower half seen as rows of h, so no twiddle
-    reaches numpy's complex multiply with stride 0 on the inner axis
-    (as a 0-d scalar, or one per column), which takes another inner
-    loop with other bits. The one exception is the stage of width 2: it
-    still multiplies by w = 1, which keeps the signs of zeros, and that
-    product is exact in either loop. A block ends in bit-reversed order
-    and is gathered into place.
+    A transform longer than nb = min(n, _BLOCK) points is the transforms
+    of its even and its odd samples, each into one half of the output,
+    then one stage of width n (module docstring), so it halves down to
+    blocks: block k of the output is the nb-point DFT of
+    values[rev(k) :: n/nb], where rev reverses log2(n/nb) bits. A block
+    runs in Pease's constant geometry (J. ACM 15(2), 1968): each stage
+    pairs the two contiguous halves of its source and writes sums and
+    differences to the even and odd slots of its target, so every operand
+    is 1-d contiguous or strided. The twiddles of the stage of width 2h
+    are the first h entries of one table R of roots in bit-reversed
+    order, multiplied row by row into the lower half seen as rows of h,
+    so no twiddle reaches numpy's complex multiply with stride 0 on the
+    inner axis (as a 0-d scalar, or one per column), which takes another
+    inner loop with other bits. The one exception is the stage of width
+    2: it still multiplies by w = 1, which keeps the signs of zeros, and
+    that product is exact in either loop. A block ends in bit-reversed
+    order and is gathered into place.
 
-    The stages wider than a block run in place, each row in contiguous
-    1-d chunks of at most nb pairs through the block buffer. Twiddles
-    come from the kept tables (see _twiddles): R, read as a prefix, and
-    the roots e^(-2*pi*i*m/n), m < n/2, of which a stage of width 2h
-    reads every (n/2h)-th entry.
+    A stage wider than a block runs in place, in contiguous 1-d chunks
+    of at most nb pairs through the block buffer. Twiddles come from the
+    kept tables (see _twiddles): R, read as a prefix, and the roots
+    e^(-2*pi*i*m/n), m < n/2, of which a stage of width 2h reads every
+    (n/2h)-th entry.
 
-    From _SPLIT_MIN points on, with two CPUs, the half transforms (of the
-    even and the odd samples, each in its own blocks of min(n/2, _BLOCK))
-    and then the last stage's halves run on two threads (module docstring;
-    numpy releases the GIL in its ufuncs). The caller builds every table
-    and both block buffers first, so the helper thread allocates no array
-    and calls only _transform, _chunked and _butterfly.
+    With two CPUs and more than one block, the two half transforms and
+    then the two halves of the last stage's pairs run on two threads
+    (numpy releases the GIL in its ufuncs); every level below runs its
+    halves in turn. The caller builds every table and both block buffers
+    first, so the helper thread allocates no array and calls only
+    _transform, _chunked and _butterfly.
     """
     n = values.size
-    split = n >= _SPLIT_MIN and _CPUS >= 2
-    part = n // 2 if split else n
-    nb = min(part, _BLOCK)
+    nb = min(n, _BLOCK)
+    split = n > max(nb, 2) and _CPUS >= 2  # _BLOCK = 1 leaves a 2-point last stage one pair
     data = np.empty(n, dtype=np.complex128)
-    scratch = np.empty(2 * nb if split else nb, dtype=np.complex128)
-    tables = {
-        "starts": _bit_reversal(part // nb),
-        "gather": _bit_reversal(nb),
-        "ordered": _kept(_ordered_roots, nb)[1][: nb // 2],
-        "roots": _twiddles(_roots, n) if n > nb else None,
-    }
-    if not split:
-        _transform(values, data, scratch, **tables)
-        return data
-    _in_halves(
-        _transform,
-        values.reshape(2, -1, order="F"),  # the even and the odd samples
-        data.reshape(2, -1),
-        scratch.reshape(2, -1),
-        **tables,
-    )
-    upper, lower = data.reshape(2, 2, -1)
-    _in_halves(_chunked, upper, lower, tables["roots"].reshape(2, -1), scratch.reshape(2, -1))
+    scratch = np.empty((2, nb) if split else nb, dtype=np.complex128)
+    gather, ordered = _bit_reversal(nb), _kept(_ordered_roots, nb)[1][: nb // 2]
+    roots = _twiddles(_roots, n) if n > nb else None
+    _transform(values, data, scratch, gather=gather, ordered=ordered, roots=roots, split=split)
     return data
 
 

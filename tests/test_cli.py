@@ -378,6 +378,30 @@ class TestBenchCommand:
             run_bench([2 * DEFAULT_NAIVE_LIMIT], repeats=1)
         assert time.perf_counter() - start < 1.0
 
+    def test_run_bench_checks_every_size_before_timing_any(self, monkeypatch):
+        reads = []
+        clock = types.SimpleNamespace(perf_counter=lambda: reads.append(1) or 0.0)
+        monkeypatch.setattr(dftkit.cli, "time", clock)
+        with pytest.raises(DspError, match="naive-path limit"):
+            run_bench([4096, 2 * DEFAULT_NAIVE_LIMIT], repeats=1)
+        assert reads == []
+
+    def test_run_bench_rejects_zero_repeats(self):
+        with pytest.raises(DspError, match="repeats must be >= 1"):
+            run_bench([8], repeats=0)
+
+    def test_run_bench_reports_a_transform_mismatch(self, monkeypatch):
+        fft = dftkit.cli.fft
+
+        def perturbed(signal):
+            spectrum = fft(signal)
+            spectrum.bins[1] += 1e-3
+            return spectrum
+
+        monkeypatch.setattr(dftkit.cli, "fft", perturbed)
+        with pytest.raises(DspError, match="transform mismatch at n=16"):
+            run_bench([16], repeats=1)
+
     def test_run_bench_checks_agreement(self):
         rows = run_bench([16, 64], repeats=1)
         assert [row.n for row in rows] == [16, 64]

@@ -1009,7 +1009,7 @@ def complex_input(rng, n, kind):
     return values
 
 
-# 2**16 .. 2**18 are at or above _SPLIT_MIN, so they run on two threads
+# 2**16 .. 2**18 are more than one block, so they run on two threads
 @pytest.mark.parametrize("n", POW2 + [1 << p for p in range(15, 19)])
 @settings(max_examples=8, deadline=None)
 @given(
@@ -1038,7 +1038,7 @@ def test_two_thread_fft_array_matches_the_one_thread_path(monkeypatch, exponent)
 
 @pytest.mark.parametrize("exponent", range(16, 21))
 def test_one_thread_fft_array_matches_the_loop_version(monkeypatch, exponent):
-    # several blocks of _BLOCK points, then the wider stages in chunks, on one thread
+    # halves down to blocks of _BLOCK points, each wider stage in chunks, on one thread
     monkeypatch.setattr(dftkit.transform, "_CPUS", 1)
     n = 1 << exponent
     for kind in ["signed-zeros", "small-integers", "real", "random"]:
@@ -1049,10 +1049,9 @@ def test_one_thread_fft_array_matches_the_loop_version(monkeypatch, exponent):
 @pytest.mark.parametrize("block", [1, 2, 4, 16])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_small_blocks_match_the_loop_version(monkeypatch, block, cpus):
-    # tiny blocks put block and chunk boundaries inside every small transform;
-    # a split needs two pairs per half of the last stage, so it starts at 4 points here
+    # tiny blocks put block and chunk boundaries inside every small transform,
+    # and with two CPUs every transform of more than one block splits
     monkeypatch.setattr(dftkit.transform, "_BLOCK", block)
-    monkeypatch.setattr(dftkit.transform, "_SPLIT_MIN", 4)
     monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
     for exponent in range(13):
         n = 1 << exponent

@@ -120,6 +120,10 @@ class TestOmega:
 
 
 class TestDftMatrix:
+    def test_rejects_order_zero(self):
+        with pytest.raises(DspError, match=">= 1"):
+            dft_matrix(0)
+
     def test_order_two(self):
         expected = np.array([[1.0, 1.0], [1.0, -1.0]])
         assert np.allclose(dft_matrix(2).entries, expected, atol=1e-15)
@@ -423,7 +427,27 @@ class TestTwiddleTableMemory:
 
 
 class TestTwoThreads:
-    """From _SPLIT_MIN points on, _fft_array runs half its butterflies on a helper thread."""
+    """Past one block, with two CPUs, _fft_array runs half its butterflies on a helper thread."""
+
+    @pytest.mark.parametrize("block", [1 << 15, 16])
+    def test_only_a_transform_of_more_than_one_block_splits(self, monkeypatch, block):
+        # one helper for the two half transforms and one for the last stage's halves;
+        # the levels below the top run their halves in turn
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", 2)
+        monkeypatch.setattr(transform, "_BLOCK", block)
+        starts = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        for n, expected in ((block, 0), (2 * block, 2), (4 * block, 2)):
+            starts.clear()
+            transform._fft_array(np.ones(n, dtype=np.complex128))
+            assert len(starts) == expected, n
 
     def test_helper_runs_no_traced_function(self, monkeypatch):
         # perfbench's span stack is per process, so every function it wraps
