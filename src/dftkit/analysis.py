@@ -79,9 +79,8 @@ def magnitude_spectrum(spectrum: Spectrum) -> MagnitudeSpectrum:
     """Magnitudes of bins 0 .. n//2 with their physical frequencies."""
     n = len(spectrum)
     half = n // 2 + 1
-    k = np.arange(half)
     return MagnitudeSpectrum(
-        frequencies=k * (spectrum.sample_rate / n),
+        frequencies=np.arange(half, dtype=np.float64) * (spectrum.sample_rate / n),
         magnitudes=np.abs(spectrum.bins[:half]),
         source_n=n,
         sample_rate=spectrum.sample_rate,
@@ -191,8 +190,7 @@ def _analyze(
     signal: Signal, relative_threshold: float, min_separation_hz: float, pad: bool
 ) -> tuple[MagnitudeSpectrum, list[int], list[float], list[float], list]:
     """The analyze pipeline: the spectrum, then the peaks' columns and note fields."""
-    prepared = pad_to_pow2(signal) if pad else signal
-    mag = magnitude_spectrum(fft(prepared))
+    mag = magnitude_spectrum(fft(pad_to_pow2(signal) if pad else signal))
     bins, freqs, mags = _peak_columns(mag, relative_threshold, min_separation_hz)
     return mag, bins, freqs, mags, _note_fields(freqs)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft, pad_to_pow2
+from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft, next_pow2, pad_to_pow2
 
 __all__ = [
     "Band",
@@ -109,9 +109,8 @@ def equalize(signal: Signal, profile: GainProfile) -> Signal:
     [-1, 1]. The upper bins mirror the lower ones for a real signal, so
     the output is real by construction.
     """
-    padded = pad_to_pow2(signal)
-    n = len(padded)
-    half = fft(padded).bins[: n // 2 + 1]
+    n = next_pow2(len(signal))
+    half = fft(pad_to_pow2(signal)).bins[: n // 2 + 1]  # the padded copy is gone once fft returns
     half *= build_gain_vector(profile, n, signal.sample_rate).values[: half.size]
     samples = np.clip(_ifft_array(half, n)[: len(signal)], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)

@@ -35,6 +35,13 @@ and odd samples, E and O:
 Since E and O are Hermitian and w^(m-k) = -conj(w^k), one twiddle gives
 two bins: X[m-k] = conj(E[k] - w^k * O[k]), so only k <= n/4 is
 computed. The inverse runs the same identities backwards.
+
+Every complex product keeps its twiddle on the right, and never takes a
+fresh temporary on the right. numpy's complex multiply is not bitwise
+commutative: with numpy 2.4.6's AVX-512 loops, np.multiply(a, g) and
+np.multiply(g, a) differ in the last bit in about a third of random
+products. And numpy evaluates a * (fresh temporary) of 256 KiB or more,
+its temporary-elision threshold, as temporary * a.
 """
 
 from __future__ import annotations
@@ -442,27 +449,47 @@ def _rfft_array(samples: np.ndarray) -> np.ndarray:
     Bins 0 .. n/2 come from splitting the packed transform (module
     docstring); bins 0 and n/2 are real sums, and the upper half is the
     exact conjugate of the lower, so the result is Hermitian bit for bit.
-    Bins n/2 - k are written first, so k = n/4, its own partner, ends as X[k].
+    The split walks k = 1 .. n/4 in spans of _BLOCK/2 bins, so its
+    temporaries are span-sized. Bins n/2 - k are written for k < n/4 only:
+    k = n/4 is its own partner, X[k].
     """
     n = samples.size
     if n == 1:
         return samples.astype(np.complex128)
-    m, h = n // 2, n // 4
+    m = n // 2
     packed = _fft_array(np.ascontiguousarray(samples).view(np.complex128))
     bins = np.empty(n, dtype=np.complex128)
     bins[0] = packed[0].real + packed[0].imag
     bins[m] = packed[0].real - packed[0].imag
-    ahead = packed[1 : h + 1]  # Z[k], k = 1 .. n/4
-    behind = np.conj(packed[m - h :][::-1])  # conj(Z[m - k])
-    even = np.add(ahead, behind, out=bins[1 : h + 1])
-    even *= 0.5
-    odd = np.subtract(ahead, behind, out=behind)
-    odd *= _twiddles(_split_twiddles, n)[1:]  # w^k * O[k]
-    mirror = np.subtract(even[:-1], odd[:-1], out=bins[h + 1 : m][::-1])
-    np.conjugate(mirror, out=mirror)
-    even += odd
+    twiddles = _twiddles(_split_twiddles, n)
+    for span, partners, mirrors in _spans(n):
+        ahead = packed[span]  # Z[k]
+        behind = np.conj(packed[partners][::-1])  # conj(Z[m - k])
+        even = np.add(ahead, behind, out=bins[span])
+        even *= 0.5
+        odd = np.subtract(ahead, behind, out=behind)
+        odd *= twiddles[span]  # w^k * O[k]
+        mirror = np.subtract(even[:mirrors], odd[:mirrors], out=bins[partners][::-1][:mirrors])
+        np.conjugate(mirror, out=mirror)
+        even += odd
     np.conjugate(bins[1:m][::-1], out=bins[m + 1 :])
     return bins
+
+
+def _spans(n: int) -> Iterator[tuple[slice, slice, int]]:
+    """The real split's k = 1 .. n/4 in spans of _BLOCK/2 bins: (k, m - k, mirrors).
+
+    k slices the span's bins and m - k, m = n/2, their partners, read
+    reversed; mirrors counts the span's k < n/4, as k = n/4 is its own
+    partner. n/4 is a power of two, so every span has _BLOCK/2 bins unless
+    it is the only one: a one-bin product would take numpy's stride-0
+    complex multiply, whose bits differ.
+    """
+    m, h = n // 2, n // 4
+    step = _BLOCK // 2
+    for a in range(1, h + 1, step):
+        b = min(a + step, h + 1)
+        yield slice(a, b), slice(m - b + 1, m - a + 1), min(b, h) - a
 
 
 def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
@@ -470,30 +497,32 @@ def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
 
     The split identities run backwards: for k <= n/4, E[k] and O[k] come
     from X[k] and conj(X[m-k]), Z[k] = E[k] + i*O[k] and Z[m-k] =
-    conj(E[k] - i*O[k]). One n/2-point inverse of Z, taken as
-    conj(fft(conj(Z))) with its 1/m and the split's 1/2 applied
-    beforehand as one exact 1/n, gives the
-    even samples as its real part and the odd ones as its imaginary
-    part, so the interleaved output is a float view of it. The
+    conj(E[k] - i*O[k]), over the spans of _rfft_array. One n/2-point
+    inverse of Z, taken as conj(fft(conj(Z))) with its 1/m and the
+    split's 1/2 applied beforehand as one exact 1/n, gives the even
+    samples as its real part and the odd ones as its imaginary part, so
+    the interleaved output is a float view of it. The
     imaginary parts of bins 0 and n/2 are ignored, and the result is
     real by construction.
     """
     if n == 1:
         return half.real[:1].copy()
-    m, h = n // 2, n // 4
+    m = n // 2
     first, last = half[0].real, half[m].real
     packed = np.empty(m, dtype=np.complex128)  # conj(Z) / m
     packed[0] = complex((first + last) / n, (last - first) / n)
-    ahead = half[1 : h + 1]  # X[k], k = 1 .. n/4
-    behind = np.conj(half[m - h : m][::-1])  # conj(X[m - k])
-    even = np.add(ahead, behind, out=packed[1 : h + 1])
-    even /= n
-    odd = np.subtract(ahead, behind, out=behind)
-    odd *= np.conj(_twiddles(_split_twiddles, n)[1:]) * (2.0 / n)  # i * O[k]
-    np.subtract(even[:-1], odd[:-1], out=packed[h + 1 :][::-1])
-    even += odd
-    np.conjugate(even, out=even)
-    del behind, odd  # the split's one temporary, freed before the inner FFT
+    twiddles = _twiddles(_split_twiddles, n)
+    for span, partners, mirrors in _spans(n):
+        ahead = half[span]  # X[k]
+        behind = np.conj(half[partners][::-1])  # conj(X[m - k])
+        even = np.add(ahead, behind, out=packed[span])
+        even /= n
+        odd = np.subtract(ahead, behind, out=behind)
+        odd *= np.conj(twiddles[span]) * (2.0 / n)  # i * O[k]
+        np.subtract(even[:mirrors], odd[:mirrors], out=packed[partners][::-1][:mirrors])
+        even += odd
+        np.conjugate(even, out=even)
+        del behind, odd  # the span's one temporary, freed before the next span and the inner FFT
     time = _fft_array(packed)
     np.negative(time.imag, out=time.imag)
     return time.view(np.float64)

@@ -9,7 +9,9 @@ toolkit only ever sees 1-d signals. Writing always produces a mono file.
 
 from __future__ import annotations
 
+import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +59,35 @@ def downmix_mono(channels: np.ndarray) -> np.ndarray:
         return array.copy()
     if array.ndim != 2:
         raise DspError(f"expected a 1-d or (frames, channels) array, got shape {array.shape}")
-    mono = array[:, 0] + 0.0  # mean's sum starts from +0.0, so -0.0 rows average to +0.0
-    for column in range(1, array.shape[1]):
-        mono += array[:, column]
-    mono /= array.shape[1]
+    return _average(iter([array[:, 0].copy(), *array.T[1:]]), array.shape[1])
+
+
+def _average(columns: Iterator[np.ndarray], count: int) -> np.ndarray:
+    """The mean of count float64 columns, added in the order np.mean(axis=1) adds them.
+
+    The sum is taken in place in the first column, so that one must be an
+    array of its own. It starts from +0.0, so a row of -0.0 averages to +0.0.
+    """
+    mono = next(columns)
+    mono += 0.0
+    for column in columns:
+        mono += column
+    if count > 1:  # x / 1 is x, so one channel skips the pass
+        mono /= count
     return mono
+
+
+def _decoded(stored: np.ndarray, audio_format: int) -> np.ndarray:
+    """One channel's stored samples as float64: PCM-16 scaled, float checked and clipped."""
+    samples = stored.astype(np.float64)
+    if audio_format == _PCM:
+        samples /= 32768.0  # exact, and always inside [-1, 1)
+        return samples
+    # A float32 is below 2**128 in magnitude, so a float64 sum of the chunk's at most
+    # 2**30 of them is finite unless a sample is inf or NaN; the sum allocates no mask.
+    if not math.isfinite(samples.sum()):
+        raise WavFormatError("float data chunk contains non-finite samples")
+    return np.clip(samples, -1.0, 1.0, out=samples)
 
 
 def read_wav(path) -> tuple[Signal, WavMeta]:
@@ -134,19 +160,11 @@ def read_wav(path) -> tuple[Signal, WavMeta]:
     if frames == 0:
         raise WavFormatError("data chunk contains no complete frames")
 
-    with np.errstate(invalid="ignore"):  # a NaN payload is rejected just below
-        samples = np.frombuffer(data, dtype, frames * channels).astype(np.float64)
-    if audio_format == _PCM:
-        samples /= 32768.0  # exact, and always inside [-1, 1)
-    else:
-        if not np.all(np.isfinite(samples)):
-            raise WavFormatError("float data chunk contains non-finite samples")
-        np.clip(samples, -1.0, 1.0, out=samples)
-
-    if channels == 1:  # + 0.0 turns -0.0 into +0.0, as the downmix does
-        mono = np.add(samples, 0.0, out=samples)
-    else:
-        mono = downmix_mono(samples.reshape(frames, channels))
+    stored = np.frombuffer(data, dtype, frames * channels)
+    # one channel at a time, so at most two decoded channels exist at once
+    columns = (_decoded(stored[c::channels], audio_format) for c in range(channels))
+    with np.errstate(invalid="ignore"):  # NaN payloads and inf - inf in a sum are rejected
+        mono = _average(columns, channels)
     meta = WavMeta(
         channels=channels,
         bits_per_sample=bits,

@@ -1306,6 +1306,33 @@ def test_half_spectrum_inverse_matches_the_complex_inverse(exponent, seed, kind,
     assert float(np.max(np.abs(actual - expected))) <= bound
 
 
+def assert_split_matches_the_one_pass_version(n, kind):
+    rng = np.random.default_rng(n)
+    samples = real_input(rng, n, kind)
+    bins = oracle_rfft_array(samples)
+    assert fft(Signal(samples, 8000)).bins.tobytes() == bins.tobytes(), (n, kind)
+    half = bins[: n // 2 + 1] * rng.uniform(0.0, 4.0, n // 2 + 1)
+    assert _ifft_array(half, n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), (n, kind)
+
+
+@pytest.mark.parametrize("span", [2, 4, 16])
+def test_split_in_small_spans_matches_the_one_pass_version(monkeypatch, span):
+    # the split and merge walk k = 1 .. n/4 in spans of _BLOCK / 2 bins; small spans
+    # put span edges, the last span and k = n/4 (its own partner) in every small transform.
+    # No span of one bin: numpy multiplies a one-element operand in its stride-0 loop,
+    # whose bits differ, and the real span leaves none beyond n = 4's only span.
+    monkeypatch.setattr(dftkit.transform, "_BLOCK", 2 * span)
+    for exponent in range(13):
+        for kind in REAL_KINDS:
+            assert_split_matches_the_one_pass_version(1 << exponent, kind)
+
+
+def test_split_in_real_spans_matches_the_one_pass_version():
+    # 2**17 samples split in two spans of 2**14 bins
+    for kind in REAL_KINDS:
+        assert_split_matches_the_one_pass_version(1 << 17, kind)
+
+
 @pytest.mark.parametrize("exponent", EXPONENTS)
 @settings(max_examples=12, deadline=None)
 @given(
@@ -1793,3 +1820,101 @@ def test_read_wav_matches_the_copying_version(folder, blob):
         assert b"fmt " in ids[ids.index(b"data") :]
     else:
         assert actual == expected
+
+
+# ---------------------------------------------------------------------------
+# read_wav one channel at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_summing_downmix_mono(channels: np.ndarray) -> np.ndarray:
+    """Average a (frames, channels) array across channels; 1-d passes through."""
+    array = np.asarray(channels, dtype=np.float64)
+    if array.size == 0:
+        raise DspError("cannot downmix an empty array")
+    if array.ndim == 1:
+        return array.copy()
+    if array.ndim != 2:
+        raise DspError(f"expected a 1-d or (frames, channels) array, got shape {array.shape}")
+    mono = array[:, 0] + 0.0  # mean's sum starts from +0.0, so -0.0 rows average to +0.0
+    for column in range(1, array.shape[1]):
+        mono += array[:, column]
+    mono /= array.shape[1]
+    return mono
+
+
+def oracle_decode_all(data: bytes, audio_format: int, channels: int) -> np.ndarray:
+    """read_wav's decode of a data chunk when it decoded every channel at once."""
+    bits, dtype = (16, "<i2") if audio_format == _PCM else (32, "<f4")
+    frames = len(data) // (bits // 8 * channels)
+    with np.errstate(invalid="ignore"):  # a NaN payload is rejected just below
+        samples = np.frombuffer(data, dtype, frames * channels).astype(np.float64)
+    if audio_format == _PCM:
+        samples /= 32768.0  # exact, and always inside [-1, 1)
+    else:
+        if not np.all(np.isfinite(samples)):
+            raise WavFormatError("float data chunk contains non-finite samples")
+        np.clip(samples, -1.0, 1.0, out=samples)
+
+    if channels == 1:  # + 0.0 turns -0.0 into +0.0, as the downmix does
+        mono = np.add(samples, 0.0, out=samples)
+    else:
+        mono = oracle_summing_downmix_mono(samples.reshape(frames, channels))
+    return mono
+
+
+def decode_outcome(decode):
+    """The decoded sample bytes, or the error's type and message."""
+    try:
+        return decode().tobytes()
+    except WavFormatError as exc:
+        return type(exc), str(exc)
+
+
+# float-32 words written into one channel: every third frame, or once for a non-finite one
+FLOAT_WORDS = {
+    "full-scale": 0xBF800000, "-0.0": 0x80000000, "over": 0x3FC00000,  # -1.0, -0.0, 1.5
+    "nan": 0x7FC00000, "inf": 0x7F800000, "-inf": 0xFF800000, "signalling-nan": 0x7F800001,
+}
+# (case, channel); a mono file takes each case in its one channel
+CHANNEL_CASES = [("plain", 0), ("-0.0 rows", 0)] + [
+    (case, channel) for case in FLOAT_WORDS for channel in (0, 1)
+]
+
+
+def channel_payload(rng, frames, channels, code, case, channel):
+    """The stored bytes of frames of noise, with the case's values in one channel."""
+    column = min(channel, channels - 1)
+    if code == _PCM:  # PCM has no -0.0 and never clips: its cases are the rails
+        values = rng.integers(-32768, 32768, (frames, channels)).astype("<i2")
+        if case != "plain":
+            values[::3, column] = [-32768, 32767][channel]
+        return values.tobytes()
+    words = rng.uniform(-1.0, 1.0, (frames, channels)).astype("<f4").view("<u4")
+    if case == "-0.0 rows":
+        words[::2] = FLOAT_WORDS["-0.0"]
+    elif "nan" in case or "inf" in case:
+        words[rng.integers(frames), column] = FLOAT_WORDS[case]
+    elif case != "plain":
+        words[::3, column] = FLOAT_WORDS[case]
+    return words.tobytes()
+
+
+@pytest.mark.parametrize("frames", [1, 5, 1000, 2**15 + 3])  # 2**15 frames: 256 KiB a channel
+@pytest.mark.parametrize("code", [_PCM, _IEEE_FLOAT], ids=["pcm16", "float32"])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_read_wav_matches_the_decode_all_version(tmp_path, frames, code, channels):
+    rng = np.random.default_rng(frames)
+    path = tmp_path / "read.wav"
+    block = channels * (2 if code == _PCM else 4)
+    fmt = struct.pack("<HHIIHH", code, channels, 44100, 44100 * block, block, block // channels * 8)
+    cases = CHANNEL_CASES if code == _IEEE_FLOAT else [("plain", 0), ("rail", 0), ("rail", 1)]
+    for case, channel in cases:
+        payload = channel_payload(rng, frames, channels, code, case, channel)
+        path.write_bytes(riff([(b"fmt ", fmt), (b"data", payload)]))
+        expected = decode_outcome(lambda: oracle_decode_all(payload, code, channels))
+        actual = decode_outcome(lambda: read_wav(path)[0].samples)
+        assert actual == expected, (case, channel)
+        if "nan" in case or "inf" in case:
+            message = "float data chunk contains non-finite samples"
+            assert expected == (WavFormatError, message), (case, channel)

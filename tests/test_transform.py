@@ -421,6 +421,31 @@ class TestTwiddleTableMemory:
             assert (largest, table.size) == (transform._BLOCK, transform._BLOCK // 2)
 
 
+class TestPipelineMemory:
+    """Warm peak traced memory of analyze and equalize, in multiples of the padded signal.
+
+    Neither holds the padded copy past fft, and the real split's and merge's
+    temporaries are spans of _BLOCK / 2 bins, not n/4.
+    """
+
+    def peak_signals(self, call, length: int) -> float:
+        signal = Signal(np.random.default_rng(length).uniform(-1.0, 1.0, length), 44100)
+        call(signal)  # builds the kept tables
+        tracemalloc.start()
+        try:
+            call(signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (next_pow2(length) * 8)
+
+    def test_equalize(self):
+        assert self.peak_signals(lambda s: equalize(s, preset("treble")), 2**17 + 1) <= 5.0
+
+    def test_analyze(self):
+        assert self.peak_signals(analyze, 2**18 + 5000) <= 4.25
+
+
 # ---------------------------------------------------------------------------
 # Butterflies on two threads
 # ---------------------------------------------------------------------------
