@@ -36,6 +36,10 @@ Since E and O are Hermitian and w^(m-k) = -conj(w^k), one twiddle gives
 two bins: X[m-k] = conj(E[k] - w^k * O[k]), so only k <= n/4 is
 computed. The inverse runs the same identities backwards.
 
+Both walk k = 1 .. n/4 in spans of _BLOCK/2 bins (see _spans), so their
+temporaries are span-sized rather than n/4 points. Up to 2^16 points
+there is one span, with the calls, sizes and lifetimes of one pass.
+
 Every complex product keeps its twiddle on the right, and never takes a
 fresh temporary on the right. numpy's complex multiply is not bitwise
 commutative: with numpy 2.4.6's AVX-512 loops, np.multiply(a, g) and
@@ -461,14 +465,13 @@ def _rfft_array(samples: np.ndarray) -> np.ndarray:
     bins = np.empty(n, dtype=np.complex128)
     bins[0] = packed[0].real + packed[0].imag
     bins[m] = packed[0].real - packed[0].imag
-    twiddles = _twiddles(_split_twiddles, n)
     for span, partners, mirrors in _spans(n):
         ahead = packed[span]  # Z[k]
         behind = np.conj(packed[partners][::-1])  # conj(Z[m - k])
         even = np.add(ahead, behind, out=bins[span])
         even *= 0.5
         odd = np.subtract(ahead, behind, out=behind)
-        odd *= twiddles[span]  # w^k * O[k]
+        odd *= _twiddles(_split_twiddles, n)[span]  # w^k * O[k]
         mirror = np.subtract(even[:mirrors], odd[:mirrors], out=bins[partners][::-1][:mirrors])
         np.conjugate(mirror, out=mirror)
         even += odd
@@ -511,14 +514,13 @@ def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
     first, last = half[0].real, half[m].real
     packed = np.empty(m, dtype=np.complex128)  # conj(Z) / m
     packed[0] = complex((first + last) / n, (last - first) / n)
-    twiddles = _twiddles(_split_twiddles, n)
     for span, partners, mirrors in _spans(n):
         ahead = half[span]  # X[k]
         behind = np.conj(half[partners][::-1])  # conj(X[m - k])
         even = np.add(ahead, behind, out=packed[span])
         even /= n
         odd = np.subtract(ahead, behind, out=behind)
-        odd *= np.conj(twiddles[span]) * (2.0 / n)  # i * O[k]
+        odd *= np.conj(_twiddles(_split_twiddles, n)[span]) * (2.0 / n)  # i * O[k]
         np.subtract(even[:mirrors], odd[:mirrors], out=packed[partners][::-1][:mirrors])
         even += odd
         np.conjugate(even, out=even)
