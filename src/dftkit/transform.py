@@ -38,7 +38,9 @@ computed. The inverse runs the same identities backwards.
 
 Both walk k = 1 .. n/4 in spans of _BLOCK/2 bins (see _spans), so their
 temporaries are span-sized rather than n/4 points. Up to 2^16 points
-there is one span, with the calls, sizes and lifetimes of one pass.
+there is one span. Both run in place: the forward transforms Z into the
+upper half of its n bins and splits it into the lower half, and the
+inverse merges in place into the half spectrum its caller gives up.
 
 Every complex product keeps its twiddle on the right, and never takes a
 fresh temporary on the right. numpy's complex multiply is not bitwise
@@ -221,9 +223,10 @@ def _inverse(spectrum: Spectrum, forward) -> Signal:
     a larger residue means the spectrum does not describe a real signal.
     """
     bins = spectrum.bins
-    time = np.conj(forward(np.conj(bins))) / bins.size
-    scale = float(np.max(np.abs(bins)))
-    residue = float(np.max(np.abs(time.imag)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, unwarned
+        time = np.conj(forward(np.conj(bins))) / bins.size
+        scale = float(np.max(np.abs(bins)))
+        residue = float(np.max(np.abs(time.imag)))
     if residue > EPSILON * scale:
         raise DspError(
             "spectrum is not Hermitian-symmetric: imaginary residue "
@@ -333,13 +336,18 @@ def _transform(values, data, scratch, *, gather, ordered, roots, split=False) ->
 
 
 def _in_halves(work, *pairs: np.ndarray, **common) -> None:
-    """work on row 0 of each (2, m) array here and on row 1 on a helper thread."""
+    """work on row 0 of each (2, m) array here and on row 1 on a helper thread.
+
+    numpy's floating-point error state is per thread, so the helper takes the caller's.
+    """
     here, there = zip(*pairs)
     errors = []
+    state = np.geterr()
 
     def helper():
         try:
-            work(*there, **common)
+            with np.errstate(**state):
+                work(*there, **common)
         except BaseException as error:  # raised here once both halves end, not lost to excepthook
             errors.append(error)
 
@@ -353,8 +361,17 @@ def _in_halves(work, *pairs: np.ndarray, **common) -> None:
         raise errors[0]
 
 
-def _fft_array(values: np.ndarray) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT of a complex power-of-two array.
+def _fft_array(
+    values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Radix-2 decimation-in-time FFT of a complex power-of-two array, into out.
+
+    values is only read. The transform is written to out and returned:
+    out belongs to the caller, a contiguous complex128 array of the same
+    size that does not overlap values; without it, to a new array. The
+    block buffers are the head of scratch, which the caller lends: a
+    contiguous complex128 array of the same size that overlaps neither,
+    whose contents are lost; without it, they are new.
 
     Every butterfly is the one fixed sequence t = w*lower, upper + t,
     upper - t, with the same twiddle bits whatever the layout, so the
@@ -394,8 +411,10 @@ def _fft_array(values: np.ndarray) -> np.ndarray:
     n = values.size
     nb = min(n, _BLOCK)
     split = n > max(nb, 2) and _CPUS >= 2  # _BLOCK = 1 leaves a 2-point last stage one pair
-    data = np.empty(n, dtype=np.complex128)
-    scratch = np.empty((2, nb) if split else nb, dtype=np.complex128)
+    data = np.empty(n, dtype=np.complex128) if out is None else out
+    size = 2 * nb if split else nb  # n >= 2 * nb when split
+    scratch = np.empty(size, dtype=np.complex128) if scratch is None else scratch[:size]
+    scratch = scratch.reshape((2, nb) if split else nb)
     gather, ordered = _bit_reversal(nb), _kept(_ordered_roots, nb)[1][: nb // 2]
     roots = _twiddles(_roots, n) if n > nb else None
     _transform(values, data, scratch, gather=gather, ordered=ordered, roots=roots, split=split)
@@ -448,23 +467,27 @@ def _twiddles(build, n: int) -> np.ndarray:
 
 
 def _rfft_array(samples: np.ndarray) -> np.ndarray:
-    """All n bins of a real power-of-two signal from one n/2-point FFT.
+    """All n bins of a real power-of-two signal from one n/2-point FFT, in one new array.
 
-    Bins 0 .. n/2 come from splitting the packed transform (module
-    docstring); bins 0 and n/2 are real sums, and the upper half is the
-    exact conjugate of the lower, so the result is Hermitian bit for bit.
+    samples is only read. The packed transform Z runs into the upper half
+    of the bins, with the lower half as its block buffers, and the split
+    (module docstring) writes bins 1 .. n/2 - 1 from it into the lower
+    half, so no other array of more than a span is made.
+    Bins 0 and n/2 are real sums of Z[0], and bin n/2 lies on top of it.
     The split walks k = 1 .. n/4 in spans of _BLOCK/2 bins, so its
-    temporaries are span-sized. Bins n/2 - k are written for k < n/4 only:
-    k = n/4 is its own partner, X[k].
+    temporaries are span-sized; bins n/2 - k are written for k < n/4
+    only, as k = n/4 is its own partner, X[k]. Last, the upper half is
+    overwritten with the exact conjugate of the lower, so the result is
+    Hermitian bit for bit.
     """
     n = samples.size
     if n == 1:
         return samples.astype(np.complex128)
     m = n // 2
-    packed = _fft_array(np.ascontiguousarray(samples).view(np.complex128))
     bins = np.empty(n, dtype=np.complex128)
+    packed = _fft_array(np.ascontiguousarray(samples).view(np.complex128), bins[m:], bins[:m])
     bins[0] = packed[0].real + packed[0].imag
-    bins[m] = packed[0].real - packed[0].imag
+    bins[m] = packed[0].real - packed[0].imag  # over Z[0], which no span reads
     for span, partners, mirrors in _spans(n):
         ahead = packed[span]  # Z[k]
         behind = np.conj(packed[partners][::-1])  # conj(Z[m - k])
@@ -495,8 +518,8 @@ def _spans(n: int) -> Iterator[tuple[slice, slice, int]]:
         yield slice(a, b), slice(m - b + 1, m - a + 1), min(b, h) - a
 
 
-def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
-    """Real samples of an n-point signal from its bins 0 .. n/2.
+def _ifft_array(half: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples of an n-point signal from its bins 0 .. n/2, which the caller gives up.
 
     The split identities run backwards: for k <= n/4, E[k] and O[k] come
     from X[k] and conj(X[m-k]), Z[k] = E[k] + i*O[k] and Z[m-k] =
@@ -507,25 +530,32 @@ def _ifft_array(half: np.ndarray, n: int) -> np.ndarray:
     the interleaved output is a float view of it. The
     imaginary parts of bins 0 and n/2 are ignored, and the result is
     real by construction.
+
+    The merge overwrites half: conj(Z) / m is written in place over its
+    bins 0 .. n/2 - 1, each span's odd part going to a temporary before
+    its even part overwrites X[k]. The inner FFT reads them from there
+    into out, a contiguous complex128 array of n/2 points that does not
+    overlap them, which the caller owns; without it, into a new array.
+    The result is a float64 view of that array.
     """
     if n == 1:
         return half.real[:1].copy()
     m = n // 2
     first, last = half[0].real, half[m].real
-    packed = np.empty(m, dtype=np.complex128)  # conj(Z) / m
+    packed = half[:m]  # conj(Z) / m, merged in place
     packed[0] = complex((first + last) / n, (last - first) / n)
     for span, partners, mirrors in _spans(n):
-        ahead = half[span]  # X[k]
-        behind = np.conj(half[partners][::-1])  # conj(X[m - k])
-        even = np.add(ahead, behind, out=packed[span])
+        ahead = packed[span]  # X[k]
+        behind = np.conj(packed[partners][::-1])  # conj(X[m - k])
+        odd = np.subtract(ahead, behind)
+        even = np.add(ahead, behind, out=ahead)
         even /= n
-        odd = np.subtract(ahead, behind, out=behind)
         odd *= np.conj(_twiddles(_split_twiddles, n)[span]) * (2.0 / n)  # i * O[k]
         np.subtract(even[:mirrors], odd[:mirrors], out=packed[partners][::-1][:mirrors])
         even += odd
         np.conjugate(even, out=even)
-        del behind, odd  # the span's one temporary, freed before the next span and the inner FFT
-    time = _fft_array(packed)
+        del behind, odd  # the span's temporaries, freed before the next span and the inner FFT
+    time = _fft_array(packed, out)
     np.negative(time.imag, out=time.imag)
     return time.view(np.float64)
 
@@ -548,7 +578,9 @@ def fft(signal: Signal) -> Spectrum:
     sample pairs (see _rfft_array); the spectrum is exactly Hermitian.
     """
     _require_fast_length(len(signal), "signal")
-    return Spectrum(bins=_rfft_array(signal.samples), sample_rate=signal.sample_rate)
+    with np.errstate(over="ignore", invalid="ignore"):  # Spectrum refuses an overflow, unwarned
+        bins = _rfft_array(signal.samples)
+    return Spectrum(bins=bins, sample_rate=signal.sample_rate)
 
 
 def ifft(spectrum: Spectrum) -> Signal:

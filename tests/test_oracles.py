@@ -53,6 +53,7 @@ from dftkit import (
     idft_naive,
     ifft,
     magnitude_spectrum,
+    next_pow2,
     pad_to_pow2,
     preset,
     read_wav,
@@ -1073,7 +1074,7 @@ def test_kept_twiddle_tables_give_the_per_call_bits_in_any_order(monkeypatch, or
         bins = oracle_rfft_array(samples)
         assert fft(Signal(samples, 8000)).bins.tobytes() == bins.tobytes(), n
         half = bins[: n // 2 + 1] * rng.uniform(0.0, 4.0, n // 2 + 1)
-        assert _ifft_array(half, n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), n
+        assert _ifft_array(half.copy(), n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), n
         values = complex_input(rng, n, "random")
         assert _fft_array(values.copy()).tobytes() == oracle_fft_array(values).tobytes(), n
 
@@ -1312,7 +1313,7 @@ def assert_split_matches_the_one_pass_version(n, kind):
     bins = oracle_rfft_array(samples)
     assert fft(Signal(samples, 8000)).bins.tobytes() == bins.tobytes(), (n, kind)
     half = bins[: n // 2 + 1] * rng.uniform(0.0, 4.0, n // 2 + 1)
-    assert _ifft_array(half, n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), (n, kind)
+    assert _ifft_array(half.copy(), n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), (n, kind)
 
 
 @pytest.mark.parametrize("span", [2, 4, 16])
@@ -1331,6 +1332,25 @@ def test_split_in_real_spans_matches_the_one_pass_version():
     # 2**17 samples split in two spans of 2**14 bins
     for kind in REAL_KINDS:
         assert_split_matches_the_one_pass_version(1 << 17, kind)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_equalize_across_blocks_matches_the_one_pass_version(monkeypatch, cpus):
+    # from 2**17 samples the inverse of equalize runs over more than one block, from
+    # the merged lower half into the upper half of the spectrum
+    monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+    profile = preset("treble")
+    for length in (1 << 17, (1 << 17) + 1):
+        n = next_pow2(length)
+        for kind in REAL_KINDS:
+            samples = real_input(np.random.default_rng(length), length, kind)
+            padded = np.zeros(n)
+            padded[:length] = samples
+            half = oracle_rfft_array(padded)[: n // 2 + 1]
+            half *= build_gain_vector(profile, n, 44100).values[: n // 2 + 1]
+            expected = np.clip(oracle_half_ifft_array(half, n)[:length], -1.0, 1.0)
+            actual = equalize(Signal(samples, 44100), profile).samples
+            assert actual.tobytes() == expected.tobytes(), (length, kind)
 
 
 @pytest.mark.parametrize("exponent", EXPONENTS)

@@ -14,8 +14,10 @@ import pytest
 import dftkit.transform
 from dftkit import (
     DEFAULT_NAIVE_LIMIT,
+    Band,
     DftMatrix,
     DspError,
+    GainProfile,
     Signal,
     Spectrum,
     analyze,
@@ -327,6 +329,9 @@ class TestPadding:
     def test_refuses_a_signal_past_the_fast_limit_before_padding(self, monkeypatch):
         monkeypatch.setattr(dftkit.transform, "FFT_LIMIT", 1024)
         assert len(pad_to_pow2(Signal(np.ones(1000), 8000))) == 1024
+        at_limit = Signal(np.ones(1024), 8000)
+        assert pad_to_pow2(at_limit) is at_limit
+        assert len(fft(at_limit)) == 1024
         signal = Signal(np.ones(1025), 8000)
         message = "^signal length 1025 exceeds the fast-path limit 1024$"
         tracemalloc.start()
@@ -444,6 +449,80 @@ class TestPipelineMemory:
 
     def test_analyze(self):
         assert self.peak_signals(analyze, 2**18 + 5000) <= 4.25
+
+    # fft transforms inside its n bins, which lend it their lower half as block buffers,
+    # and equalize inverts inside them: the padded copy, the bins and the block index,
+    # then the bins and the gain vector or the clamped output
+    @pytest.mark.parametrize("length, bound", [(2**17 + 1, 3.75), (2**18, 3.25)])
+    def test_equalize_in_place(self, length, bound):
+        assert self.peak_signals(lambda s: equalize(s, preset("treble")), length) <= bound
+
+    def test_analyze_in_place(self):
+        assert self.peak_signals(analyze, 2**18 + 5000) <= 3.5
+
+    def test_fft_takes_its_block_buffers_from_its_bins(self):
+        # the bins (2), the block index (0.125) and numpy's iterator buffers, but no
+        # block buffers of its own (0.5 on two threads)
+        assert self.peak_signals(fft, 2**18) <= 2.375
+
+
+class TestInputSafety:
+    """The in-place transforms work in buffers they own, never in the caller's."""
+
+    @pytest.fixture(params=[2**12, 2**16 + 1, 2**17])
+    def signal(self, request):
+        length = request.param
+        return Signal(np.random.default_rng(length).uniform(-1.0, 1.0, length), 44100)
+
+    def test_fft_and_ifft_leave_their_input(self, signal):
+        padded = pad_to_pow2(signal)
+        before = padded.samples.tobytes()
+        spectrum = fft(padded)
+        assert padded.samples.tobytes() == before
+        assert not np.shares_memory(spectrum.bins, padded.samples)
+        bins = spectrum.bins.tobytes()
+        ifft(spectrum)
+        assert spectrum.bins.tobytes() == bins
+
+    def test_analyze_and_equalize_leave_their_input(self, signal):
+        before = signal.samples.tobytes()
+        analyze(signal)
+        assert signal.samples.tobytes() == before
+        equalized = equalize(signal, preset("treble"))
+        assert signal.samples.tobytes() == before
+        assert not np.shares_memory(equalized.samples, signal.samples)
+
+
+class TestOverflow:
+    """A transform that overflows raises DspError and emits no RuntimeWarning.
+
+    pytest turns every warning into an error here, on the helper thread too.
+    """
+
+    huge = 1e308
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fft_equalize_and_ifft(self, monkeypatch, cpus):
+        monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+        for n in (4, 2**17):  # 2**17 samples pack into 2**16 complex points, two blocks
+            signal = Signal(np.full(n, self.huge), 8000)
+            with pytest.raises(DspError, match="spectrum bins must all be finite"):
+                fft(signal)
+            with pytest.raises(DspError, match="spectrum bins must all be finite"):
+                equalize(signal, preset("treble"))
+        for n in (4, 2**16):
+            with pytest.raises(DspError, match="signal samples must all be finite"):
+                ifft(Spectrum(np.full(n, complex(self.huge)), 8000))
+
+    def test_an_equalize_that_overflows_after_fft(self):
+        # the spectrum is finite, the gains are not: the inverse's NaNs are refused
+        signal = Signal(np.cos(np.arange(2**12)) * 1e300, 8000)
+        profile = GainProfile(bands=(Band(low_hz=0.0, high_hz=1e9, gain=1e300),))
+        with pytest.raises(DspError, match="signal samples must all be finite"):
+            equalize(signal, profile)
+        # the scaled bin 0 is -inf, and so is every sample of the inverse, which clamps to -1
+        profile = GainProfile(bands=(Band(low_hz=0.0, high_hz=1000.0, gain=4.0),))
+        assert equalize(Signal(np.full(4, -2e307), 8000), profile).samples.tolist() == [-1.0] * 4
 
 
 # ---------------------------------------------------------------------------
