@@ -20,9 +20,15 @@ that case rounds differently (see _fft_array).
 Permutations are built by doubling. The twiddles are built once per
 process, for the largest transform or block so far; a smaller power of
 two reads views of them with the bits of its own tables (see _twiddles).
+A block's gather index is built once per block size, and its stages of
+fewer than _ROW twiddles read kept tiles, so a warm transform into
+buffers its caller lends allocates only a few small objects and makes
+numpy copy through no buffer (see _fft_array).
 
-A transform of more than one block runs its two halves, then the two
-halves of its last stage's pairs, on two threads.
+A transform of more than one block first copies its samples into their
+blocks' slots in one transpose. With two CPUs it runs its two halves,
+then the two halves of its last stage's pairs, on the caller's thread
+and one helper, which meet at a barrier between the two.
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -282,6 +288,8 @@ def _bit_reversal(n: int) -> np.ndarray:
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _BLOCK = 1 << 15  # _fft_array runs its first stages on blocks of at most this many points
+_ROW = 256  # the row length of a block's short stages, and numpy's buffer size in a transform
+_LOAD = 2048  # the blocked load copies this many samples of every block at a time
 
 
 def _butterfly(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> None:
@@ -299,66 +307,95 @@ def _chunked(upper: np.ndarray, lower: np.ndarray, w: np.ndarray, scratch: np.nd
         _butterfly(upper[part], lower[part], w[part], scratch[:step])
 
 
-def _transform(values, data, scratch, *, gather, ordered, roots, split=False) -> None:
+def _transform(values, data, scratch, *, gather, tiles, ordered, roots) -> None:
     """The DFT of values into data: the DFTs of its halves, then one stage, down to blocks.
 
-    A block of gather.size points runs in Pease form between data and the buffer, which
-    holds the last stage; gather puts it in order. With split, the buffer is (2, nb) and
-    the halves, then the halves of the stage's pairs, run on two threads. ordered and
-    roots are the tables of _fft_array's docstring.
+    Past one block, values is data, already in block order (see _load_blocks). A block of
+    gather.size points runs in Pease form between data and the buffer, which holds the last
+    stage, starting from values; gather puts it in order. The tables are those of
+    _fft_array's docstring.
     """
     nb = gather.size
     if data.size > nb:
-        tables = {"gather": gather, "ordered": ordered, "roots": roots}
-        # the even samples' DFT into data's first half, the odd samples' into its second
-        halves = values.reshape(2, -1, order="F"), data.reshape(2, -1)
-        twiddles = roots[:: roots.size // (data.size // 2)]
-        if split:
-            _in_halves(_transform, *halves, scratch, **tables)
-            _in_halves(_chunked, *data.reshape(2, 2, -1), twiddles.reshape(2, -1), scratch)
-        else:
-            for half in zip(*halves):
-                _transform(*half, scratch, **tables)
-            _chunked(*data.reshape(2, -1), twiddles, scratch)
+        tables = {"gather": gather, "tiles": tiles, "ordered": ordered, "roots": roots}
+        # the even samples' DFT in data's first half, the odd samples' in its second
+        for half in data.reshape(2, -1):
+            _transform(half, half, scratch, **tables)
+        _chunked(*data.reshape(2, -1), roots[:: roots.size * 2 // data.size], scratch)
         return
     # start where the log2(nb) stages, alternating, end in the buffer
     source, target = (data, scratch) if nb.bit_length() % 2 == 0 else (scratch, data)
-    source[:] = values
-    h = 1
+    if source is not values:
+        source[:] = values
+    h, width = 1, min(_ROW, nb // 2)
     while h < nb:
         upper, lower = source[: nb // 2], source[nb // 2 :]
-        rows = lower.reshape(-1, h)
-        rows *= ordered[:h]
+        twiddles = tiles[h.bit_length() - 2, :width] if 1 < h < _ROW else ordered[:h]
+        rows = lower.reshape(-1, twiddles.size)
+        rows *= twiddles
         np.add(upper, lower, out=target[0::2])
         np.subtract(upper, lower, out=target[1::2])
         source, target, h = target, source, h * 2
     np.take(scratch, gather, out=data, mode="clip")  # "raise" would buffer the output
 
 
-def _in_halves(work, *pairs: np.ndarray, **common) -> None:
-    """work on row 0 of each (2, m) array here and on row 1 on a helper thread.
+def _load_blocks(values: np.ndarray, data: np.ndarray, nb: int) -> None:
+    """Block k of data gets values[rev(k) :: n/nb], in one transpose (see _fft_array)."""
+    b = (values.size // nb).bit_length() - 1
+    source = values.reshape((nb,) + (2,) * b).T
+    target = data.reshape((2,) * b + (nb,))
+    for start in range(0, nb, _LOAD):
+        target[..., start : start + _LOAD] = source[..., start : start + _LOAD]
 
-    numpy's floating-point error state is per thread, so the helper takes the caller's.
+
+def _in_halves(data: np.ndarray, scratch: np.ndarray, tables: dict) -> bool:
+    """_transform of data over two threads; False, having done nothing, if none can start.
+
+    This thread runs the DFT of data's first half and one helper the second, each in its
+    row of scratch; both meet at a barrier, then each runs its half of the last stage's
+    pairs. An error on either side aborts the barrier, so the other stops there rather than
+    wait, and it is raised here once the helper ends. numpy's floating-point error state and
+    buffer size are per thread, so the helper takes the caller's.
     """
-    here, there = zip(*pairs)
-    errors = []
-    state = np.geterr()
+    halves, pairs = data.reshape(2, -1), data.reshape(2, 2, -1)
+    twiddles = tables["roots"].reshape(2, -1)  # the last stage's
+    barrier, errors = threading.Barrier(2), []
+    state, size = np.geterr(), np.getbufsize()
 
-    def helper():
+    def run(side: int) -> None:
         try:
-            with np.errstate(**state):
-                work(*there, **common)
-        except BaseException as error:  # raised here once both halves end, not lost to excepthook
+            _transform(halves[side], halves[side], scratch[side], **tables)
+            barrier.wait()
+            _chunked(pairs[0, side], pairs[1, side], twiddles[side], scratch[side])
+        except threading.BrokenBarrierError:  # the other side failed, and reports it
+            pass
+        except BaseException as error:  # raised below, not lost to excepthook
+            barrier.abort()
             errors.append(error)
 
+    def helper() -> None:
+        with np.errstate(**state):
+            old = np.setbufsize(size)
+            try:
+                run(1)
+            finally:
+                np.setbufsize(old)
+
     thread = threading.Thread(target=helper)
-    thread.start()
     try:
-        work(*here, **common)
+        thread.start()
+    except RuntimeError:  # "can't start new thread"
+        return False
+    try:
+        run(0)
     finally:
         thread.join()
     if errors:
         raise errors[0]
+    return True
+
+
+_GATHERS = {}  # nb -> _bit_reversal(nb), writeable (see _fft_array) and never handed out
 
 
 def _fft_array(
@@ -371,7 +408,8 @@ def _fft_array(
     size that does not overlap values; without it, to a new array. The
     block buffers are the head of scratch, which the caller lends: a
     contiguous complex128 array of the same size that overlaps neither,
-    whose contents are lost; without it, they are new.
+    whose contents are lost; without it, they are new. With both lent, a
+    warm call allocates only a few small objects.
 
     Every butterfly is the one fixed sequence t = w*lower, upper + t,
     upper - t, with the same twiddle bits whatever the layout, so the
@@ -381,32 +419,46 @@ def _fft_array(
     of its even and its odd samples, each into one half of the output,
     then one stage of width n (module docstring), so it halves down to
     blocks: block k of the output is the nb-point DFT of
-    values[rev(k) :: n/nb], where rev reverses log2(n/nb) bits. A block
-    runs in Pease's constant geometry (J. ACM 15(2), 1968): each stage
-    pairs the two contiguous halves of its source and writes sums and
-    differences to the even and odd slots of its target, so every operand
-    is 1-d contiguous or strided. The twiddles of the stage of width 2h
-    are the first h entries of one table R of roots in bit-reversed
-    order, multiplied row by row into the lower half seen as rows of h,
-    so no twiddle reaches numpy's complex multiply with stride 0 on the
-    inner axis (as a 0-d scalar, or one per column), which takes another
-    inner loop with other bits. The one exception is the stage of width
-    2: it still multiplies by w = 1, which keeps the signs of zeros, and
-    that product is exact in either loop. A block ends in bit-reversed
-    order and is gathered into place.
+    values[rev(k) :: n/nb], where rev reverses b = log2(n/nb) bits. Those
+    samples are copied into block k's slot of the output first, in one
+    transpose (Bailey, FFTs in External or Hierarchical Memory,
+    J. Supercomputing 4, 1990): out.reshape((2,)*b + (nb,)) is
+    values.reshape((nb,) + (2,)*b).T, copied _LOAD samples of every block
+    at a time, so no block reads its samples at a stride.
 
-    A stage wider than a block runs in place, in contiguous 1-d chunks
-    of at most nb pairs through the block buffer. Twiddles come from the
-    kept tables (see _twiddles): R, read as a prefix, and the roots
-    e^(-2*pi*i*m/n), m < n/2, of which a stage of width 2h reads every
-    (n/2h)-th entry.
+    A block runs in Pease's constant geometry (J. ACM 15(2), 1968): each
+    stage pairs the two contiguous halves of its source and writes sums
+    and differences to the even and odd slots of its target, so every
+    operand is 1-d contiguous or strided. The twiddles of the stage of
+    width 2h are the first h entries of one table R of roots in
+    bit-reversed order, multiplied row by row into the lower half seen as
+    rows of h, so no twiddle reaches numpy's complex multiply with stride
+    0 on the inner axis (as a 0-d scalar, or one per column), which takes
+    another inner loop with other bits. The one exception is the stage of
+    width 2: it still multiplies by w = 1, which keeps the signs of zeros,
+    and that product is exact in either loop. For 1 < h < _ROW the rows
+    are _ROW entries long instead (or the whole lower half, if shorter),
+    times a tile that holds R[:h] repeated: the same products, and the
+    transform runs with numpy's buffer size set to _ROW and restored
+    after, so no stage makes numpy's loops copy through a buffer. A block
+    ends in bit-reversed order and is gathered into place.
 
-    With two CPUs and more than one block, the two half transforms and
-    then the two halves of the last stage's pairs run on two threads
-    (numpy releases the GIL in its ufuncs); every level below runs its
-    halves in turn. The caller builds every table and both block buffers
-    first, so the helper thread allocates no array and calls only
-    _transform, _chunked and _butterfly.
+    The tiles are kept like R (see _tiles), and the gather index once per
+    block size in _GATHERS. The index stays writeable, as np.take copies
+    a read-only index on every call, so this module owns it and never
+    hands it out. A stage wider than a block runs in place, in
+    contiguous 1-d chunks of at most nb pairs through the block buffer.
+    Its twiddles come from the kept roots e^(-2*pi*i*m/n), m < n/2 (see
+    _twiddles), of which a stage of width 2h reads every (n/2h)-th entry.
+
+    With two CPUs and more than one block, the two half transforms run on
+    this thread and one helper thread, which then meet at a barrier and
+    run the two halves of the last stage's pairs (numpy releases the GIL
+    in its ufuncs); every level below runs its halves in turn. If the
+    helper cannot start, the one-thread path runs instead, with the same
+    bits. The caller builds every table and both block buffers first, so
+    the helper allocates no array and calls only _transform, _chunked and
+    _butterfly.
     """
     n = values.size
     nb = min(n, _BLOCK)
@@ -414,10 +466,21 @@ def _fft_array(
     data = np.empty(n, dtype=np.complex128) if out is None else out
     size = 2 * nb if split else nb  # n >= 2 * nb when split
     scratch = np.empty(size, dtype=np.complex128) if scratch is None else scratch[:size]
-    scratch = scratch.reshape((2, nb) if split else nb)
-    gather, ordered = _bit_reversal(nb), _kept(_ordered_roots, nb)[1][: nb // 2]
+    gather = _GATHERS.get(nb)
+    if gather is None:
+        gather = _GATHERS[nb] = _bit_reversal(nb)
+    ordered, tiles = _kept(_ordered_roots, nb)[1][: nb // 2], _kept(_tiles, _ROW)[1]
     roots = _twiddles(_roots, n) if n > nb else None
-    _transform(values, data, scratch, gather=gather, ordered=ordered, roots=roots, split=split)
+    tables = {"gather": gather, "tiles": tiles, "ordered": ordered, "roots": roots}
+    bufsize = np.setbufsize(_ROW)
+    try:
+        if n > nb:
+            _load_blocks(values, data, nb)
+            values = data
+        if not (split and _in_halves(data, scratch.reshape(2, nb), tables)):
+            _transform(values, data, scratch[:nb], **tables)
+    finally:
+        np.setbufsize(bufsize)
     return data
 
 
@@ -429,6 +492,13 @@ def _roots(n: int) -> np.ndarray:
 def _ordered_roots(n: int) -> np.ndarray:
     """_roots(n) in bit-reversed order; the first h entries are the twiddles of width 2h."""
     return _roots(n)[_bit_reversal(n // 2)]
+
+
+def _tiles(width: int) -> np.ndarray:
+    """Row j: the first h = 2**(j+1) entries of _ordered_roots, repeated to width, for h < width."""
+    ordered = _ordered_roots(width)
+    rows = [np.tile(ordered[: 1 << k], width >> k) for k in range(1, width.bit_length() - 1)]
+    return np.stack(rows)
 
 
 def _split_twiddles(n: int) -> np.ndarray:

@@ -365,8 +365,9 @@ class TestTwiddleTableMemory:
     """Peak traced memory at 2**18 samples, in multiples of the padded signal.
 
     The kept tables hold one padded signal for the largest transform so
-    far. A cold call builds them inside the measurement; a warm call
-    finds them built and reads views.
+    far, the tiles of the short Pease stages, and one gather index per
+    block size. A cold call builds them inside the measurement; a warm
+    call finds them built and reads views.
     """
 
     signal = Signal(np.random.default_rng(13).uniform(-1.0, 1.0, 2**18), 44100)
@@ -407,12 +408,19 @@ class TestTwiddleTableMemory:
 
         def kept_signals(call):
             monkeypatch.setattr(dftkit.transform, "_TABLES", {})
+            monkeypatch.setattr(dftkit.transform, "_GATHERS", {})
             call()
-            return {build.__name__: t.nbytes / (n * 8) for build, (_, t) in dftkit.transform._TABLES.items()}
+            transform = dftkit.transform
+            kept = {build.__name__: t.nbytes / (n * 8) for build, (_, t) in transform._TABLES.items()}
+            kept.update({f"gather {nb}": g.nbytes / (n * 8) for nb, g in transform._GATHERS.items()})
+            return kept
 
         spectrum = fft(signal)
-        # the roots, and R for the 2**15-point blocks (_BLOCK / 2 entries); no split twiddles
-        assert kept_signals(lambda: ifft(spectrum)) == {"_roots": 1.0, "_ordered_roots": 0.5}
+        # the roots, R for the 2**15-point blocks (_BLOCK / 2 entries), 7 tiles of 256 twiddles
+        # and the blocks' int64 gather index; no split twiddles
+        tiles = 7 * 256 * 16 / (n * 8)
+        expected = {"_roots": 1.0, "_ordered_roots": 0.5, "_tiles": tiles, f"gather {2**15}": 0.5}
+        assert kept_signals(lambda: ifft(spectrum)) == expected
         assert 0.5 < kept_signals(lambda: fft(signal))["_split_twiddles"] <= 0.501  # n/4 + 1 entries
 
     def test_block_roots_stay_within_one_block(self, monkeypatch):
@@ -451,8 +459,8 @@ class TestPipelineMemory:
         assert self.peak_signals(analyze, 2**18 + 5000) <= 4.25
 
     # fft transforms inside its n bins, which lend it their lower half as block buffers,
-    # and equalize inverts inside them: the padded copy, the bins and the block index,
-    # then the bins and the gain vector or the clamped output
+    # and equalize inverts inside them: the padded copy and the bins, then the bins and
+    # the gain vector or the clamped output
     @pytest.mark.parametrize("length, bound", [(2**17 + 1, 3.75), (2**18, 3.25)])
     def test_equalize_in_place(self, length, bound):
         assert self.peak_signals(lambda s: equalize(s, preset("treble")), length) <= bound
@@ -461,8 +469,8 @@ class TestPipelineMemory:
         assert self.peak_signals(analyze, 2**18 + 5000) <= 3.5
 
     def test_fft_takes_its_block_buffers_from_its_bins(self):
-        # the bins (2), the block index (0.125) and numpy's iterator buffers, but no
-        # block buffers of its own (0.5 on two threads)
+        # the bins (2), but no block buffers of its own (0.5 on two threads), and warm,
+        # no block index (0.125) or numpy iterator buffers
         assert self.peak_signals(fft, 2**18) <= 2.375
 
 
@@ -535,7 +543,7 @@ class TestTwoThreads:
 
     @pytest.mark.parametrize("block", [1 << 15, 16])
     def test_only_a_transform_of_more_than_one_block_splits(self, monkeypatch, block):
-        # one helper for the two half transforms and one for the last stage's halves;
+        # one helper for a half transform and then its half of the last stage's pairs;
         # the levels below the top run their halves in turn
         transform = dftkit.transform
         monkeypatch.setattr(transform, "_CPUS", 2)
@@ -548,7 +556,7 @@ class TestTwoThreads:
                 super().start()
 
         monkeypatch.setattr(threading, "Thread", Counted)
-        for n, expected in ((block, 0), (2 * block, 2), (4 * block, 2)):
+        for n, expected in ((block, 0), (2 * block, 1), (4 * block, 1)):
             starts.clear()
             transform._fft_array(np.ones(n, dtype=np.complex128))
             assert len(starts) == expected, n
@@ -558,6 +566,7 @@ class TestTwoThreads:
         # must run on the caller's thread
         transform = dftkit.transform
         monkeypatch.setattr(transform, "_CPUS", 2)
+        monkeypatch.setattr(transform, "_GATHERS", {})  # so the blocks' gather index is built
         threads = {}
 
         def recorded(name):
@@ -600,3 +609,122 @@ class TestTwoThreads:
         assert err.splitlines() == ["error: out of memory"]
         assert hooked == []
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    @pytest.mark.parametrize("stage", ["_transform", "_chunked"])
+    def test_an_error_before_the_barrier_reaches_the_cli(
+        self, tmp_path, capsys, monkeypatch, where, stage
+    ):
+        # 2**17 padded samples pack into two blocks, whose leaves run before the barrier;
+        # 2**18 pack into four, and each side runs a stage wider than a block before it
+        wav, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        duration = "2.0" if stage == "_transform" else "4.0"
+        assert main(["synth", str(wav), "--freqs", "440", "--duration", duration]) == 0
+        capsys.readouterr()
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", 2)
+        codes, raised, original = [], [], getattr(transform, stage)
+        # the CLI runs on a thread of its own, joined with a timeout, so that a hang fails
+        argv = ["equalize", str(wav), str(out), "--preset", "treble"]
+        runner = threading.Thread(target=lambda: codes.append(main(argv)))
+
+        def failing(*args, **kwargs):
+            leaf = stage == "_chunked" or args[1].size <= kwargs["gather"].size
+            if leaf and (threading.get_ident() == runner.ident) == (where == "caller"):
+                raised.append(threading.get_ident())
+                raise MemoryError
+            original(*args, **kwargs)
+
+        monkeypatch.setattr(transform, stage, failing)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        threads = threading.active_count()
+        runner.start()
+        runner.join(timeout=60.0)
+        assert not runner.is_alive()
+        assert codes == [1]
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+        assert len(raised) == 1 and (raised[0] == runner.ident) == (where == "caller")
+        assert hooked == []
+        assert threading.active_count() == threads
+
+    def test_a_helper_that_cannot_start_leaves_the_one_thread_path(self, tmp_path, monkeypatch):
+        transform = dftkit.transform
+        signal = Signal(np.random.default_rng(8).uniform(-1.0, 1.0, 2**17), 8000)
+
+        def outputs():  # fft and equalize split 2**16 packed points, ifft 2**17 points
+            spectrum = fft(signal)
+            inverse, equalized = ifft(spectrum), equalize(signal, preset("treble"))
+            return spectrum.bins.tobytes(), inverse.samples.tobytes(), equalized.samples.tobytes()
+
+        monkeypatch.setattr(transform, "_CPUS", 1)
+        expected = outputs()
+        refusals = []
+
+        def refused(thread):
+            refusals.append(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(transform, "_CPUS", 2)
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        threads = threading.active_count()
+        assert outputs() == expected
+        assert len(refusals) == 4  # one split each in fft and ifft, two in equalize
+        wav = tmp_path / "in.wav"
+        assert main(["synth", str(wav), "--freqs", "440", "--duration", "2.0"]) == 0  # 2**17 padded
+        assert main(["analyze", str(wav)]) == 0
+        assert len(refusals) == 5
+        assert threading.active_count() == threads
+
+
+class TestSteadyState:
+    """A warm _fft_array into lent buffers allocates only small objects.
+
+    It keeps its gather index per block size, multiplies its short Pease
+    stages by kept tiles and runs with numpy's buffer size at _ROW, so
+    numpy allocates no iterator buffer; the caller's size is restored.
+    """
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("exponent", [10, 15, 16, 17])
+    def test_a_warm_transform_into_lent_buffers(self, monkeypatch, cpus, exponent):
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", cpus)
+        n = 1 << exponent
+        values = np.random.default_rng(exponent).standard_normal(2 * n).view(np.complex128)
+        out, scratch = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+        transform._fft_array(values, out, scratch)
+        tracemalloc.start()
+        try:
+            transform._fft_array(values, out, scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_numpy_buffer_size_is_set_on_each_thread_and_restored(self, monkeypatch, cpus):
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", cpus)
+        values = np.random.default_rng(9).standard_normal(2**17).view(np.complex128)  # two blocks
+        sizes, original = {}, transform._transform
+
+        def recorded(*args, **kwargs):
+            sizes.setdefault(threading.get_ident(), set()).add(np.getbufsize())
+            original(*args, **kwargs)
+
+        def failing(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(transform, "_transform", recorded)
+        before = np.setbufsize(4096)
+        try:
+            transform._fft_array(values)
+            assert np.getbufsize() == 4096
+            assert list(sizes.values()) == [{transform._ROW}] * cpus  # the caller's and the helper's
+            monkeypatch.setattr(transform, "_chunked", failing)
+            with pytest.raises(MemoryError):
+                transform._fft_array(values)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(before)
