@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft, next_pow2, pad_to_pow2
+from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft, pad_to_pow2
 
 __all__ = [
     "Band",
@@ -107,18 +107,16 @@ def equalize(signal: Signal, profile: GainProfile) -> Signal:
     0 .. n/2 are scaled by their gains; the real inverse of that half
     spectrum is truncated back to the original length and clamped to
     [-1, 1]. The upper bins mirror the lower ones for a real signal, so
-    the output is real by construction. The inverse merges in place into
-    the scaled half and runs into the upper bins, so from fft to the
-    clamp this holds the input and one n-bin array.
+    the output is real by construction. The inverse runs inside the
+    spectrum, so from fft to the clamp this holds the input and one
+    n-bin array.
     """
-    n = next_pow2(len(signal))
     bins = fft(pad_to_pow2(signal)).bins  # the padded copy is gone once fft returns
-    half = bins[: n // 2 + 1]
+    half = bins[: bins.size // 2 + 1]
     # an overflow is not warned of: the clamp takes an infinity to -1 or 1, Signal refuses a NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        half *= build_gain_vector(profile, n, signal.sample_rate).values[: half.size]
-        # the upper bins are dead once the lower half is scaled: the inverse runs into them
-        samples = np.clip(_ifft_array(half, n, bins[n // 2 :])[: len(signal)], -1.0, 1.0)
+        half *= build_gain_vector(profile, bins.size, signal.sample_rate).values[: half.size]
+        samples = np.clip(_ifft_array(bins)[: len(signal)], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)
 
 

@@ -21,14 +21,17 @@ Permutations are built by doubling. The twiddles are built once per
 process, for the largest transform or block so far; a smaller power of
 two reads views of them with the bits of its own tables (see _twiddles).
 A block's gather index is built once per block size, and its stages of
-fewer than _ROW twiddles read kept tiles, so a warm transform into
-buffers its caller lends allocates only a few small objects and makes
+fewer than _ROW twiddles read kept tiles, so a warm transform makes
 numpy copy through no buffer (see _fft_array).
 
-A transform of more than one block first copies its samples into their
-blocks' slots in one transpose. With two CPUs it runs its two halves,
-then the two halves of its last stage's pairs, on the caller's thread
-and one helper, which meet at a barrier between the two.
+Each transform works inside the arrays it is given. The FFT's input is
+given up, and its head is the block buffers unless the caller lends
+others, so beyond a few small objects a warm FFT allocates only its
+result. A transform of more than one block first copies its samples
+into their blocks' slots in one transpose (see _load_blocks). With two
+CPUs it runs its two halves, then the two halves of its last stage's
+pairs, on the caller's thread and one helper, which meet at a barrier
+between the two (see _in_halves).
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -44,9 +47,9 @@ computed. The inverse runs the same identities backwards.
 
 Both walk k = 1 .. n/4 in spans of _BLOCK/2 bins (see _spans), so their
 temporaries are span-sized rather than n/4 points. Up to 2^16 points
-there is one span. Both run in place: the forward transforms Z into the
-upper half of its n bins and splits it into the lower half, and the
-inverse merges in place into the half spectrum its caller gives up.
+there is one span. Both run in place in n bins: the forward transforms
+Z into their upper half and splits it into the lower half, and the
+inverse merges into the lower half and transforms that into the upper.
 
 Every complex product keeps its twiddle on the right, and never takes a
 fresh temporary on the right. numpy's complex multiply is not bitwise
@@ -340,7 +343,13 @@ def _transform(values, data, scratch, *, gather, tiles, ordered, roots) -> None:
 
 
 def _load_blocks(values: np.ndarray, data: np.ndarray, nb: int) -> None:
-    """Block k of data gets values[rev(k) :: n/nb], in one transpose (see _fft_array)."""
+    """Block k of data gets values[rev(k) :: n/nb], rev reversing b = log2(n/nb) bits.
+
+    That is the order the halving leaves, and one transpose (Bailey, FFTs in External or
+    Hierarchical Memory, J. Supercomputing 4, 1990): data.reshape((2,)*b + (nb,)) is
+    values.reshape((nb,) + (2,)*b).T, copied _LOAD samples of every block at a time, so no
+    block reads its samples at a stride.
+    """
     b = (values.size // nb).bit_length() - 1
     source = values.reshape((nb,) + (2,) * b).T
     target = data.reshape((2,) * b + (nb,))
@@ -352,15 +361,16 @@ def _in_halves(data: np.ndarray, scratch: np.ndarray, tables: dict) -> bool:
     """_transform of data over two threads; False, having done nothing, if none can start.
 
     This thread runs the DFT of data's first half and one helper the second, each in its
-    row of scratch; both meet at a barrier, then each runs its half of the last stage's
-    pairs. An error on either side aborts the barrier, so the other stops there rather than
-    wait, and it is raised here once the helper ends. numpy's floating-point error state and
-    buffer size are per thread, so the helper takes the caller's.
+    row of scratch (numpy releases the GIL in its ufuncs); both meet at a barrier, then each
+    runs its half of the last stage's pairs. An error on either side aborts the barrier, so
+    the other stops there rather than wait, and it is raised here once the helper ends. The
+    caller has built every table and both block buffers, so the helper allocates no array
+    and calls only _transform, _chunked and _butterfly. numpy's floating-point error state
+    and buffer size are per thread, so the helper sets the caller's, and they end with it.
     """
     halves, pairs = data.reshape(2, -1), data.reshape(2, 2, -1)
     twiddles = tables["roots"].reshape(2, -1)  # the last stage's
-    barrier, errors = threading.Barrier(2), []
-    state, size = np.geterr(), np.getbufsize()
+    barrier, errors, state = threading.Barrier(2), [], np.geterr()
 
     def run(side: int) -> None:
         try:
@@ -374,12 +384,9 @@ def _in_halves(data: np.ndarray, scratch: np.ndarray, tables: dict) -> bool:
             errors.append(error)
 
     def helper() -> None:
-        with np.errstate(**state):
-            old = np.setbufsize(size)
-            try:
-                run(1)
-            finally:
-                np.setbufsize(old)
+        np.seterr(**state)
+        np.setbufsize(_ROW)
+        run(1)
 
     thread = threading.Thread(target=helper)
     try:
@@ -401,71 +408,50 @@ _GATHERS = {}  # nb -> _bit_reversal(nb), writeable (see _fft_array) and never h
 def _fft_array(
     values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT of a complex power-of-two array, into out.
+    """Radix-2 decimation-in-time FFT of a contiguous complex128 power-of-two array, into out.
 
-    values is only read. The transform is written to out and returned:
-    out belongs to the caller, a contiguous complex128 array of the same
-    size that does not overlap values; without it, to a new array. The
-    block buffers are the head of scratch, which the caller lends: a
-    contiguous complex128 array of the same size that overlaps neither,
-    whose contents are lost; without it, they are new. With both lent, a
-    warm call allocates only a few small objects.
+    The caller gives values up. The transform is written to out and
+    returned: out belongs to the caller, a contiguous complex128 array of
+    the same size that does not overlap values; without it, to a new
+    array. The block buffers are the head of scratch, which the caller
+    lends: a contiguous complex128 array of the same size that overlaps
+    neither, whose contents are lost; without it, the head of values,
+    which the blocks' load, or a single block's first copy, reads in full
+    before any buffer is written. A warm call allocates only a few small
+    objects beyond out.
 
     Every butterfly is the one fixed sequence t = w*lower, upper + t,
     upper - t, with the same twiddle bits whatever the layout, so the
     output bits do not depend on how the stages are scheduled.
 
-    A transform longer than nb = min(n, _BLOCK) points is the transforms
-    of its even and its odd samples, each into one half of the output,
-    then one stage of width n (module docstring), so it halves down to
-    blocks: block k of the output is the nb-point DFT of
-    values[rev(k) :: n/nb], where rev reverses b = log2(n/nb) bits. Those
-    samples are copied into block k's slot of the output first, in one
-    transpose (Bailey, FFTs in External or Hierarchical Memory,
-    J. Supercomputing 4, 1990): out.reshape((2,)*b + (nb,)) is
-    values.reshape((nb,) + (2,)*b).T, copied _LOAD samples of every block
-    at a time, so no block reads its samples at a stride.
-
-    A block runs in Pease's constant geometry (J. ACM 15(2), 1968): each
-    stage pairs the two contiguous halves of its source and writes sums
-    and differences to the even and odd slots of its target, so every
-    operand is 1-d contiguous or strided. The twiddles of the stage of
-    width 2h are the first h entries of one table R of roots in
-    bit-reversed order, multiplied row by row into the lower half seen as
-    rows of h, so no twiddle reaches numpy's complex multiply with stride
-    0 on the inner axis (as a 0-d scalar, or one per column), which takes
-    another inner loop with other bits. The one exception is the stage of
-    width 2: it still multiplies by w = 1, which keeps the signs of zeros,
-    and that product is exact in either loop. For 1 < h < _ROW the rows
-    are _ROW entries long instead (or the whole lower half, if shorter),
-    times a tile that holds R[:h] repeated: the same products, and the
-    transform runs with numpy's buffer size set to _ROW and restored
-    after, so no stage makes numpy's loops copy through a buffer. A block
-    ends in bit-reversed order and is gathered into place.
+    A block runs in Pease's constant geometry: each stage pairs the two
+    contiguous halves of its source and writes sums and differences to
+    the even and odd slots of its target, so every operand is 1-d
+    contiguous or strided. The twiddles of the stage of width 2h are the
+    first h entries of one table R of roots in bit-reversed order,
+    multiplied row by row into the lower half seen as rows of h, so no
+    twiddle reaches numpy's complex multiply with stride 0 on the inner
+    axis (as a 0-d scalar, or one per column), which takes another inner
+    loop with other bits. The one exception is the stage of width 2: it
+    still multiplies by w = 1, which keeps the signs of zeros, and that
+    product is exact in either loop. For 1 < h < _ROW the rows are _ROW
+    entries long instead (or the whole lower half, if shorter), times a
+    tile that holds R[:h] repeated: the same products, and the transform
+    runs with numpy's buffer size set to _ROW and restored after, so no
+    stage makes numpy's loops copy through a buffer. A block ends in
+    bit-reversed order and is gathered into place.
 
     The tiles are kept like R (see _tiles), and the gather index once per
     block size in _GATHERS. The index stays writeable, as np.take copies
     a read-only index on every call, so this module owns it and never
-    hands it out. A stage wider than a block runs in place, in
-    contiguous 1-d chunks of at most nb pairs through the block buffer.
-    Its twiddles come from the kept roots e^(-2*pi*i*m/n), m < n/2 (see
-    _twiddles), of which a stage of width 2h reads every (n/2h)-th entry.
-
-    With two CPUs and more than one block, the two half transforms run on
-    this thread and one helper thread, which then meet at a barrier and
-    run the two halves of the last stage's pairs (numpy releases the GIL
-    in its ufuncs); every level below runs its halves in turn. If the
-    helper cannot start, the one-thread path runs instead, with the same
-    bits. The caller builds every table and both block buffers first, so
-    the helper allocates no array and calls only _transform, _chunked and
-    _butterfly.
+    hands it out. A stage wider than a block reads every (n/2h)-th entry
+    of the kept roots e^(-2*pi*i*m/n), m < n/2 (see _twiddles).
     """
     n = values.size
     nb = min(n, _BLOCK)
     split = n > max(nb, 2) and _CPUS >= 2  # _BLOCK = 1 leaves a 2-point last stage one pair
     data = np.empty(n, dtype=np.complex128) if out is None else out
-    size = 2 * nb if split else nb  # n >= 2 * nb when split
-    scratch = np.empty(size, dtype=np.complex128) if scratch is None else scratch[:size]
+    scratch = (values if scratch is None else scratch)[: 2 * nb if split else nb]
     gather = _GATHERS.get(nb)
     if gather is None:
         gather = _GATHERS[nb] = _bit_reversal(nb)
@@ -588,8 +574,8 @@ def _spans(n: int) -> Iterator[tuple[slice, slice, int]]:
         yield slice(a, b), slice(m - b + 1, m - a + 1), min(b, h) - a
 
 
-def _ifft_array(half: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Real samples of an n-point signal from its bins 0 .. n/2, which the caller gives up.
+def _ifft_array(bins: np.ndarray) -> np.ndarray:
+    """Real samples of an n-point signal from bins 0 .. n/2 of the n bins its caller gives up.
 
     The split identities run backwards: for k <= n/4, E[k] and O[k] come
     from X[k] and conj(X[m-k]), Z[k] = E[k] + i*O[k] and Z[m-k] =
@@ -601,18 +587,18 @@ def _ifft_array(half: np.ndarray, n: int, out: np.ndarray | None = None) -> np.n
     imaginary parts of bins 0 and n/2 are ignored, and the result is
     real by construction.
 
-    The merge overwrites half: conj(Z) / m is written in place over its
-    bins 0 .. n/2 - 1, each span's odd part going to a temporary before
-    its even part overwrites X[k]. The inner FFT reads them from there
-    into out, a contiguous complex128 array of n/2 points that does not
-    overlap them, which the caller owns; without it, into a new array.
-    The result is a float64 view of that array.
+    conj(Z) / m is merged in place over bins 0 .. n/2 - 1, each span's
+    odd part going to a temporary before its even part overwrites X[k].
+    The inner FFT takes them as its block buffers and runs into the
+    upper half, over bin n/2, which the merge reads first. The result is
+    a float64 view of the upper half.
     """
+    n = bins.size
     if n == 1:
-        return half.real[:1].copy()
+        return bins.real.copy()
     m = n // 2
-    first, last = half[0].real, half[m].real
-    packed = half[:m]  # conj(Z) / m, merged in place
+    first, last = bins[0].real, bins[m].real
+    packed = bins[:m]  # conj(Z) / m, merged in place
     packed[0] = complex((first + last) / n, (last - first) / n)
     for span, partners, mirrors in _spans(n):
         ahead = packed[span]  # X[k]
@@ -625,7 +611,7 @@ def _ifft_array(half: np.ndarray, n: int, out: np.ndarray | None = None) -> np.n
         even += odd
         np.conjugate(even, out=even)
         del behind, odd  # the span's temporaries, freed before the next span and the inner FFT
-    time = _fft_array(packed, out)
+    time = _fft_array(packed, bins[m:])
     np.negative(time.imag, out=time.imag)
     return time.view(np.float64)
 

@@ -40,7 +40,7 @@ def outputs(n: int, kind: str) -> dict[str, bytes]:
         "_fft_array": _fft_array(packed).tobytes(),
         "fft": spectrum.bins.tobytes(),
         "ifft": ifft(spectrum).samples.tobytes(),
-        "_ifft_array": _ifft_array(spectrum.bins[: n // 2 + 1].copy(), n).tobytes(),
+        "_ifft_array": _ifft_array(spectrum.bins.copy()).tobytes(),
         "equalize": equalize(signal, preset("treble")).samples.tobytes(),
         "analyze": repr(analyze(signal)).encode(),
     }

@@ -364,7 +364,7 @@ def oracle_product_equalize(signal: Signal, profile: GainProfile) -> Signal:
     half = n // 2 + 1
     spectrum = fft(padded)
     gains = build_gain_vector(profile, n, signal.sample_rate)
-    time = _ifft_array(spectrum.bins[:half] * gains.values[:half], n)
+    time = _ifft_array(np.resize(spectrum.bins[:half] * gains.values[:half], n))
     samples = np.clip(time.real[:original_n], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)
 
@@ -1074,7 +1074,7 @@ def test_kept_twiddle_tables_give_the_per_call_bits_in_any_order(monkeypatch, or
         bins = oracle_rfft_array(samples)
         assert fft(Signal(samples, 8000)).bins.tobytes() == bins.tobytes(), n
         half = bins[: n // 2 + 1] * rng.uniform(0.0, 4.0, n // 2 + 1)
-        assert _ifft_array(half.copy(), n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), n
+        assert _ifft_array(np.resize(half, n)).tobytes() == oracle_half_ifft_array(half, n).tobytes(), n
         values = complex_input(rng, n, "random")
         assert _fft_array(values.copy()).tobytes() == oracle_fft_array(values).tobytes(), n
 
@@ -1301,7 +1301,7 @@ def test_half_spectrum_inverse_matches_the_complex_inverse(exponent, seed, kind,
     gains = np.random.default_rng(gain_seed).uniform(0.0, 4.0, n // 2 + 1)
     full *= np.concatenate((gains, gains[1 : (n + 1) // 2][::-1]))
     expected = oracle_ifft_array(full).real
-    actual = _ifft_array(full[: n // 2 + 1], n)
+    actual = _ifft_array(full.copy())
     assert actual.dtype == np.float64 and actual.shape == (n,)
     bound = FFT_TOLERANCE * max(1.0, float(np.max(np.abs(expected))))
     assert float(np.max(np.abs(actual - expected))) <= bound
@@ -1313,7 +1313,7 @@ def assert_split_matches_the_one_pass_version(n, kind):
     bins = oracle_rfft_array(samples)
     assert fft(Signal(samples, 8000)).bins.tobytes() == bins.tobytes(), (n, kind)
     half = bins[: n // 2 + 1] * rng.uniform(0.0, 4.0, n // 2 + 1)
-    assert _ifft_array(half.copy(), n).tobytes() == oracle_half_ifft_array(half, n).tobytes(), (n, kind)
+    assert _ifft_array(np.resize(half, n)).tobytes() == oracle_half_ifft_array(half, n).tobytes(), (n, kind)
 
 
 @pytest.mark.parametrize("span", [2, 4, 16])
@@ -1332,6 +1332,23 @@ def test_split_in_real_spans_matches_the_one_pass_version():
     # 2**17 samples split in two spans of 2**14 bins
     for kind in REAL_KINDS:
         assert_split_matches_the_one_pass_version(1 << 17, kind)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_half_spectrum_inverse_reads_only_bins_up_to_n_over_2(monkeypatch, cpus):
+    # it merges into the lower half and transforms into the upper half, whose
+    # NaNs it must overwrite unread; 2**17 samples invert over two blocks
+    monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+    for n in [1 << exponent for exponent in range(13)] + [1 << 17]:
+        for kind in REAL_KINDS:
+            rng = np.random.default_rng(n)
+            bins = oracle_rfft_array(real_input(rng, n, kind))
+            bins[: n // 2 + 1] *= rng.uniform(0.0, 4.0, n // 2 + 1)
+            expected = oracle_half_ifft_array(bins[: n // 2 + 1], n)
+            bins[n // 2 + 1 :] = np.nan
+            actual = _ifft_array(bins)
+            assert actual.tobytes() == expected.tobytes(), (n, kind)
+            assert n < 2 or np.shares_memory(actual, bins), n
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

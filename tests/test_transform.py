@@ -473,6 +473,20 @@ class TestPipelineMemory:
         # no block index (0.125) or numpy iterator buffers
         assert self.peak_signals(fft, 2**18) <= 2.375
 
+    @pytest.mark.parametrize("exponent", range(12, 21))
+    def test_ifft_transforms_inside_its_conjugate(self, exponent):
+        # the conjugated bins (2) are the FFT's input and block buffers, beside its result (2)
+        n = 1 << exponent
+        spectrum = fft(Signal(np.random.default_rng(n).uniform(-1.0, 1.0, n), 44100))
+        ifft(spectrum)  # builds the kept tables
+        tracemalloc.start()
+        try:
+            ifft(spectrum)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * 8) <= 4.1
+
 
 class TestInputSafety:
     """The in-place transforms work in buffers they own, never in the caller's."""
@@ -678,11 +692,12 @@ class TestTwoThreads:
 
 
 class TestSteadyState:
-    """A warm _fft_array into lent buffers allocates only small objects.
+    """A warm _fft_array allocates only small objects beyond its output.
 
     It keeps its gather index per block size, multiplies its short Pease
     stages by kept tiles and runs with numpy's buffer size at _ROW, so
     numpy allocates no iterator buffer; the caller's size is restored.
+    Without lent buffers, its block buffers are the head of its input.
     """
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -701,6 +716,24 @@ class TestSteadyState:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 1024
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("exponent", [10, 15, 16, 17])
+    def test_a_warm_transform_with_nothing_lent(self, monkeypatch, cpus, exponent):
+        # the block buffers are the head of the input, which the caller gives up
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", cpus)
+        n = 1 << exponent
+        rng = np.random.default_rng(exponent)
+        transform._fft_array(rng.standard_normal(2 * n).view(np.complex128))
+        values = rng.standard_normal(2 * n).view(np.complex128)
+        tracemalloc.start()
+        try:
+            result = transform._fft_array(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - result.nbytes < 32 * 1024
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_numpy_buffer_size_is_set_on_each_thread_and_restored(self, monkeypatch, cpus):
