@@ -32,6 +32,8 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 120
+# pytest's exit code on a mutant -> verdict; 2 is an interrupted collection, None a hang
+VERDICTS = {0: "SURVIVED", 1: "killed", 2: "killed", None: "killed"}
 
 
 class Mutant(NamedTuple):
@@ -291,9 +293,7 @@ def main(names: list[str]) -> int:
             verdict, detail = "equivalent", mutant.equivalent
         else:
             code, detail = run(mutant.tests, files, mutant)
-            # 1: a test failed; 2: collection was interrupted; None: the tests hung
-            verdicts_by_code = {0: "SURVIVED", 1: "killed", 2: "killed", None: "killed"}
-            verdict = verdicts_by_code.get(code, "NOT RUN")
+            verdict = VERDICTS.get(code, "NOT RUN")
             if verdict == "NOT RUN":
                 detail = f"pytest exit code {code}: {detail}"
         verdicts.append(verdict)
