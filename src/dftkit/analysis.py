@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, Spectrum, fft, pad_to_pow2
+from .transform import DspError, Signal, Spectrum, fft
 
 __all__ = [
     "A4_HZ",
@@ -77,14 +77,19 @@ class NoteMatch:
 
 def magnitude_spectrum(spectrum: Spectrum) -> MagnitudeSpectrum:
     """Magnitudes of bins 0 .. n//2 with their physical frequencies."""
-    n = len(spectrum)
-    half = n // 2 + 1
-    return MagnitudeSpectrum(
-        frequencies=np.arange(half, dtype=np.float64) * (spectrum.sample_rate / n),
-        magnitudes=np.abs(spectrum.bins[:half]),
-        source_n=n,
-        sample_rate=spectrum.sample_rate,
-    )
+    return _with_frequencies(_magnitudes(spectrum), len(spectrum), spectrum.sample_rate)
+
+
+def _magnitudes(spectrum: Spectrum) -> np.ndarray:
+    """|bins 0 .. n//2| of a spectrum, in a new array."""
+    return np.abs(spectrum.bins[: len(spectrum) // 2 + 1])
+
+
+def _with_frequencies(magnitudes: np.ndarray, n: int, sample_rate: int) -> MagnitudeSpectrum:
+    """The half-spectrum of an n-point transform, its frequencies built in place."""
+    frequencies = np.arange(magnitudes.size, dtype=np.float64)
+    frequencies *= sample_rate / n
+    return MagnitudeSpectrum(frequencies, magnitudes, n, sample_rate)
 
 
 def find_peaks(
@@ -189,8 +194,14 @@ def _note_fields(freqs: list[float]) -> list[tuple[str, float, float] | None]:
 def _analyze(
     signal: Signal, relative_threshold: float, min_separation_hz: float, pad: bool
 ) -> tuple[MagnitudeSpectrum, list[int], list[float], list[float], list]:
-    """The analyze pipeline: the spectrum, then the peaks' columns and note fields."""
-    mag = magnitude_spectrum(fft(pad_to_pow2(signal) if pad else signal))
+    """The analyze pipeline: the spectrum, then the peaks' columns and note fields.
+
+    The n-bin spectrum goes once its magnitudes are taken, before the frequencies are made.
+    """
+    spectrum = fft(signal, pad=pad)
+    n, magnitudes = len(spectrum), _magnitudes(spectrum)
+    del spectrum
+    mag = _with_frequencies(magnitudes, n, signal.sample_rate)
     bins, freqs, mags = _peak_columns(mag, relative_threshold, min_separation_hz)
     return mag, bins, freqs, mags, _note_fields(freqs)
 

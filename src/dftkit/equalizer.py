@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft, pad_to_pow2
+from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft
 
 __all__ = [
     "Band",
@@ -89,15 +89,21 @@ def build_gain_vector(profile: GainProfile, n: int, sample_rate: int) -> GainVec
     if n < 1:
         raise DspError(f"transform length must be >= 1, got {n}")
     sample_rate = _as_positive_int(sample_rate, "sample rate")
+    half = _half_gains(profile, n, sample_rate)
+    mirrored = half[1 : (n - 1) // 2 + 1][::-1]  # empty for n = 1 and 2
+    return GainVector(values=np.concatenate((half, mirrored)), sample_rate=sample_rate)
+
+
+def _half_gains(profile: GainProfile, n: int, sample_rate: int) -> np.ndarray:
+    """build_gain_vector's bins 0 .. n//2, for n >= 1 and a checked sample rate."""
     half = n // 2 + 1
-    gains = np.ones(n, dtype=np.float64)
+    gains = np.ones(half, dtype=np.float64)
     at = lambda k: k * sample_rate / n  # noqa: E731
     for band in profile.bands:  # at(k) ascends in k, so a band is one slice
         low = bisect.bisect_left(range(half), band.low_hz, key=at)
         high = bisect.bisect_left(range(half), band.high_hz, key=at)
         gains[low:high] = band.gain
-    gains[half:] = gains[1 : (n - 1) // 2 + 1][::-1]  # empty for n = 1 and 2
-    return GainVector(values=gains, sample_rate=sample_rate)
+    return gains
 
 
 def equalize(signal: Signal, profile: GainProfile) -> Signal:
@@ -107,15 +113,15 @@ def equalize(signal: Signal, profile: GainProfile) -> Signal:
     0 .. n/2 are scaled by their gains; the real inverse of that half
     spectrum is truncated back to the original length and clamped to
     [-1, 1]. The upper bins mirror the lower ones for a real signal, so
-    the output is real by construction. The inverse runs inside the
-    spectrum, so from fft to the clamp this holds the input and one
-    n-bin array.
+    the output is real by construction. fft pads inside the spectrum,
+    and the inverse runs inside it too, so from fft to the clamp this
+    holds the input, one n-bin array and at most n/2 + 1 gains.
     """
-    bins = fft(pad_to_pow2(signal)).bins  # the padded copy is gone once fft returns
+    bins = fft(signal, pad=True).bins
     half = bins[: bins.size // 2 + 1]
     # an overflow is not warned of: the clamp takes an infinity to -1 or 1, Signal refuses a NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        half *= build_gain_vector(profile, bins.size, signal.sample_rate).values[: half.size]
+        half *= _half_gains(profile, bins.size, signal.sample_rate)
         samples = np.clip(_ifft_array(bins)[: len(signal)], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)
 

@@ -25,13 +25,13 @@ fewer than _ROW twiddles read kept tiles, so a warm transform makes
 numpy copy through no buffer (see _fft_array).
 
 Each transform works inside the arrays it is given. The FFT's input is
-given up, and its head is the block buffers unless the caller lends
-others, so beyond a few small objects a warm FFT allocates only its
-result. A transform of more than one block first copies its samples
-into their blocks' slots in one transpose (see _load_blocks). With two
-CPUs it runs its two halves, then the two halves of its last stage's
-pairs, on the caller's thread and one helper, which meet at a barrier
-between the two (see _in_halves).
+given up, and its head is the block buffers, so beyond a few small
+objects a warm FFT allocates only its result. A transform of more than
+one block first copies its samples into their blocks' slots in one
+transpose (see _load_blocks). With two CPUs it runs its two halves,
+then the two halves of its last stage's pairs, on the caller's thread
+and one helper, which meet at a barrier between the two (see
+_in_halves).
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -47,9 +47,11 @@ computed. The inverse runs the same identities backwards.
 
 Both walk k = 1 .. n/4 in spans of _BLOCK/2 bins (see _spans), so their
 temporaries are span-sized rather than n/4 points. Up to 2^16 points
-there is one span. Both run in place in n bins: the forward transforms
-Z into their upper half and splits it into the lower half, and the
-inverse merges into the lower half and transforms that into the upper.
+there is one span. Both run in place in n bins: the forward pads the
+samples into their lower half, transforms Z into the upper half and
+splits it into the lower half, and the inverse merges into the lower
+half, with its span temporaries in the upper, and transforms that into
+the upper.
 
 Every complex product keeps its twiddle on the right, and never takes a
 fresh temporary on the right. numpy's complex multiply is not bitwise
@@ -263,9 +265,7 @@ def next_pow2(n: int) -> int:
 def pad_to_pow2(signal: Signal) -> Signal:
     """Zero-extend a signal to the next power-of-two length (no-op if already there)."""
     n = len(signal)
-    if n > FFT_LIMIT:  # FFT_LIMIT is a power of two, so a shorter signal never pads past it
-        raise DspError(f"signal length {n} exceeds the fast-path limit {FFT_LIMIT}")
-    target = next_pow2(n)
+    target = _fast_length(n, "signal", pad=True)
     if target == n:
         return signal
     padded = np.zeros(target, dtype=np.float64)
@@ -405,20 +405,15 @@ def _in_halves(data: np.ndarray, scratch: np.ndarray, tables: dict) -> bool:
 _GATHERS = {}  # nb -> _bit_reversal(nb), writeable (see _fft_array) and never handed out
 
 
-def _fft_array(
-    values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _fft_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Radix-2 decimation-in-time FFT of a contiguous complex128 power-of-two array, into out.
 
-    The caller gives values up. The transform is written to out and
+    The caller gives values up, and its head is the block buffers: the
+    blocks' load, or a single block's first copy, reads values in full
+    before any buffer is written. The transform is written to out and
     returned: out belongs to the caller, a contiguous complex128 array of
     the same size that does not overlap values; without it, to a new
-    array. The block buffers are the head of scratch, which the caller
-    lends: a contiguous complex128 array of the same size that overlaps
-    neither, whose contents are lost; without it, the head of values,
-    which the blocks' load, or a single block's first copy, reads in full
-    before any buffer is written. A warm call allocates only a few small
-    objects beyond out.
+    array. A warm call allocates only a few small objects beyond out.
 
     Every butterfly is the one fixed sequence t = w*lower, upper + t,
     upper - t, with the same twiddle bits whatever the layout, so the
@@ -451,7 +446,7 @@ def _fft_array(
     nb = min(n, _BLOCK)
     split = n > max(nb, 2) and _CPUS >= 2  # _BLOCK = 1 leaves a 2-point last stage one pair
     data = np.empty(n, dtype=np.complex128) if out is None else out
-    scratch = (values if scratch is None else scratch)[: 2 * nb if split else nb]
+    scratch = values[: 2 * nb if split else nb]
     gather = _GATHERS.get(nb)
     if gather is None:
         gather = _GATHERS[nb] = _bit_reversal(nb)
@@ -522,13 +517,15 @@ def _twiddles(build, n: int) -> np.ndarray:
     return table[:: largest // n]
 
 
-def _rfft_array(samples: np.ndarray) -> np.ndarray:
-    """All n bins of a real power-of-two signal from one n/2-point FFT, in one new array.
+def _rfft_array(samples: np.ndarray, n: int) -> np.ndarray:
+    """All n bins of a real signal zero-extended to n, a power of two, from one n/2-point FFT.
 
-    samples is only read. The packed transform Z runs into the upper half
-    of the bins, with the lower half as its block buffers, and the split
-    (module docstring) writes bins 1 .. n/2 - 1 from it into the lower
-    half, so no other array of more than a span is made.
+    samples is only read. It is copied, with a zero tail, into the lower
+    half of a new array of n bins, seen as n floats: the packed samples,
+    which the n/2-point transform Z takes as its given-up input and block
+    buffers. Z runs into the upper half, and the split (module docstring)
+    writes bins 1 .. n/2 - 1 from it back into the lower half, so no
+    other array of more than a span is made.
     Bins 0 and n/2 are real sums of Z[0], and bin n/2 lies on top of it.
     The split walks k = 1 .. n/4 in spans of _BLOCK/2 bins, so its
     temporaries are span-sized; bins n/2 - k are written for k < n/4
@@ -536,12 +533,14 @@ def _rfft_array(samples: np.ndarray) -> np.ndarray:
     overwritten with the exact conjugate of the lower, so the result is
     Hermitian bit for bit.
     """
-    n = samples.size
     if n == 1:
         return samples.astype(np.complex128)
     m = n // 2
     bins = np.empty(n, dtype=np.complex128)
-    packed = _fft_array(np.ascontiguousarray(samples).view(np.complex128), bins[m:], bins[:m])
+    padded = bins[:m].view(np.float64)
+    padded[: samples.size] = samples
+    padded[samples.size :] = 0.0
+    packed = _fft_array(bins[:m], bins[m:])
     bins[0] = packed[0].real + packed[0].imag
     bins[m] = packed[0].real - packed[0].imag  # over Z[0], which no span reads
     for span, partners, mirrors in _spans(n):
@@ -587,55 +586,64 @@ def _ifft_array(bins: np.ndarray) -> np.ndarray:
     imaginary parts of bins 0 and n/2 are ignored, and the result is
     real by construction.
 
-    conj(Z) / m is merged in place over bins 0 .. n/2 - 1, each span's
-    odd part going to a temporary before its even part overwrites X[k].
-    The inner FFT takes them as its block buffers and runs into the
-    upper half, over bin n/2, which the merge reads first. The result is
-    a float64 view of the upper half.
+    conj(Z) / m is merged in place over bins 0 .. n/2 - 1. Bin n/2 is
+    read first, so the upper half is free: each span's conj(X[m - k])
+    and odd part go there, before its even part overwrites X[k]. The
+    inner FFT takes the merged half as its input and block buffers and
+    runs into the upper half. The result is a float64 view of it.
     """
     n = bins.size
     if n == 1:
         return bins.real.copy()
     m = n // 2
     first, last = bins[0].real, bins[m].real
-    packed = bins[:m]  # conj(Z) / m, merged in place
+    packed, free = bins[:m], bins[m:]  # conj(Z) / m, merged in place; the span temporaries
     packed[0] = complex((first + last) / n, (last - first) / n)
     for span, partners, mirrors in _spans(n):
         ahead = packed[span]  # X[k]
-        behind = np.conj(packed[partners][::-1])  # conj(X[m - k])
-        odd = np.subtract(ahead, behind)
+        size = ahead.size  # at most n/4, so both temporaries fit in the free half
+        behind = np.conjugate(packed[partners][::-1], out=free[:size])  # conj(X[m - k])
+        odd = np.subtract(ahead, behind, out=free[size : 2 * size])
         even = np.add(ahead, behind, out=ahead)
         even /= n
         odd *= np.conj(_twiddles(_split_twiddles, n)[span]) * (2.0 / n)  # i * O[k]
         np.subtract(even[:mirrors], odd[:mirrors], out=packed[partners][::-1][:mirrors])
         even += odd
         np.conjugate(even, out=even)
-        del behind, odd  # the span's temporaries, freed before the next span and the inner FFT
-    time = _fft_array(packed, bins[m:])
+    time = _fft_array(packed, free)
     np.negative(time.imag, out=time.imag)
     return time.view(np.float64)
 
 
-def _require_fast_length(n: int, what: str) -> None:
-    if n < 1 or n & (n - 1):
+def _fast_length(n: int, what: str, pad: bool = False) -> int:
+    """The fast paths' length for n samples or bins: n, or with pad the next power of two.
+
+    Without pad, n must be a power of two. Either way n may not pass
+    FFT_LIMIT, the one limit check, made before anything is padded.
+    """
+    if not pad and (n < 1 or n & (n - 1)):
         below = 1 << max(n.bit_length() - 1, 0)
         raise DspError(
             f"length {n} is not a power of two (nearest are {below} and {below * 2}); "
             "zero-pad or use the naive transform"
         )
-    if n > FFT_LIMIT:
+    if n > FFT_LIMIT:  # FFT_LIMIT is a power of two, so a shorter signal never pads past it
         raise DspError(f"{what} length {n} exceeds the fast-path limit {FFT_LIMIT}")
+    return next_pow2(n)
 
 
-def fft(signal: Signal) -> Spectrum:
+def fft(signal: Signal, *, pad: bool = False) -> Spectrum:
     """Fast forward transform. Same contract as dft_naive, power-of-two lengths only.
 
-    The signal is real, so it goes through one n/2-point FFT of packed
-    sample pairs (see _rfft_array); the spectrum is exactly Hermitian.
+    With pad=True the signal is first zero-extended to the next power of
+    two, as by pad_to_pow2 and under its limit and message, but inside
+    the spectrum's own array, so no padded copy is made. The signal is
+    real, so it goes through one n/2-point FFT of packed sample pairs
+    (see _rfft_array); the spectrum is exactly Hermitian.
     """
-    _require_fast_length(len(signal), "signal")
+    n = _fast_length(len(signal), "signal", pad)
     with np.errstate(over="ignore", invalid="ignore"):  # Spectrum refuses an overflow, unwarned
-        bins = _rfft_array(signal.samples)
+        bins = _rfft_array(signal.samples, n)
     return Spectrum(bins=bins, sample_rate=signal.sample_rate)
 
 
@@ -645,5 +653,5 @@ def ifft(spectrum: Spectrum) -> Signal:
     Any complex spectrum is accepted, so this takes the full n-point
     inverse, conj(fft(conj(X))) / n, and rejects a result that is not real.
     """
-    _require_fast_length(len(spectrum), "spectrum")
+    _fast_length(len(spectrum), "spectrum")
     return _inverse(spectrum, _fft_array)

@@ -7,7 +7,9 @@ mutant that no test can tell apart from the program is marked equivalent,
 with the reason; its old text is still checked, but no test runs for it.
 
 Each mutant runs in a fresh copy of the files git tracks, as they are in
-the working tree, with `python -m pytest -x -q` and PYTHONPATH=src. A
+the working tree, with `python -m pytest -x -q` and PYTHONPATH=src;
+outside a git work tree, as in a `git archive` copy, the copy holds every
+file not under a folder whose name starts with a dot or is __pycache__. A
 failing run, or one that hangs past TIMEOUT_S, kills the mutant; each
 row's tests first run once on an unedited copy, and must pass there. The
 script prints one line per mutant and a score. It exits non-zero when a
@@ -158,32 +160,41 @@ MUTANTS = [
         SPANS,
     ),
     Mutant(
-        "fft-lends-no-block-buffers",  # the packed transform would work in the caller's samples
+        "padding-tail-left-unzeroed",  # the tail would keep whatever the new bins held
         TRANSFORM,
-        "np.ascontiguousarray(samples).view(np.complex128), bins[m:], bins[:m])",
-        "np.ascontiguousarray(samples).view(np.complex128), bins[m:])",
-        (UNITS, "-k", "leave_their_input"),
+        "    padded[samples.size :] = 0.0\n",
+        "",
+        (UNITS, "-k", "whatever_the_allocator_hands_back"),
     ),
     Mutant(
         "merge-even-before-odd",  # the even part would overwrite X[k] before odd reads it
         TRANSFORM,
-        "        odd = np.subtract(ahead, behind)\n"
+        "        odd = np.subtract(ahead, behind, out=free[size : 2 * size])\n"
         "        even = np.add(ahead, behind, out=ahead)\n",
         "        even = np.add(ahead, behind, out=ahead)\n"
-        "        odd = np.subtract(ahead, behind)\n",
+        "        odd = np.subtract(ahead, behind, out=free[size : 2 * size])\n",
         SPANS,
+    ),
+    Mutant(
+        "merge-temporaries-in-new-arrays",  # n/4 bins each at 2**16, beside the n bins
+        TRANSFORM,
+        "        behind = np.conjugate(packed[partners][::-1], out=free[:size])  # conj(X[m - k])\n"
+        "        odd = np.subtract(ahead, behind, out=free[size : 2 * size])\n",
+        "        behind = np.conjugate(packed[partners][::-1])  # conj(X[m - k])\n"
+        "        odd = np.subtract(ahead, behind)\n",
+        (UNITS, "-k", "merges_inside_the_free_upper_half"),
     ),
     Mutant(
         "inverse-reads-the-upper-half",  # X[m + k] is conj(X[m - k]) only if the caller kept it so
         TRANSFORM,
-        "        behind = np.conj(packed[partners][::-1])  # conj(X[m - k])\n",
+        "        behind = np.conjugate(packed[partners][::-1], out=free[:size])  # conj(X[m - k])\n",
         "        behind = bins[m:][span].copy()  # conj(X[m - k])\n",
         (ORACLES, "-k", "reads_only_bins_up_to_n_over_2"),
     ),
     Mutant(
         "inverse-into-the-merged-half",
         TRANSFORM,
-        "    time = _fft_array(packed, bins[m:])\n",
+        "    time = _fft_array(packed, free)\n",
         "    time = _fft_array(packed, packed)\n",
         (ORACLES, "-k", "reads_only_bins_up_to_n_over_2"),
     ),
@@ -193,6 +204,13 @@ MUTANTS = [
         "    half = bins[: bins.size // 2 + 1]\n",
         "    half = bins[: bins.size // 2]\n",
         (ORACLES, "-k", "equalize_matches_the_product_version"),
+    ),
+    Mutant(
+        "spectrum-kept-past-the-magnitudes",  # the n bins beside the magnitudes and frequencies
+        "src/dftkit/analysis.py",
+        "    del spectrum\n",
+        "",
+        (UNITS, "-k", "lets_the_spectrum_go_before_the_frequencies"),
     ),
     # the input contracts
     Mutant(
@@ -228,12 +246,21 @@ MUTANTS = [
 ]
 
 
-def tracked_files() -> list[str]:
-    listed = subprocess.run(
-        ["git", "ls-files", "-z"], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout
-    paths = [path for path in listed.split("\0") if path]
-    return [path for path in paths if os.path.isfile(os.path.join(ROOT, path))]
+def program_files() -> list[str]:
+    """The files git tracks; outside a git work tree, every file not under a dot or cache folder."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z"], cwd=ROOT, check=True, capture_output=True, text=True
+        ).stdout.split("\0")
+    except (OSError, subprocess.CalledProcessError):  # no git, or a copy made by git archive
+        listed = []
+    paths = [path for path in listed if path and os.path.isfile(os.path.join(ROOT, path))]
+    if paths:
+        return paths
+    for folder, subfolders, names in os.walk(ROOT):
+        subfolders[:] = [name for name in subfolders if name[0] != "." and name != "__pycache__"]
+        paths += [os.path.relpath(os.path.join(folder, name), ROOT) for name in names]
+    return paths
 
 
 def first_failure(output: str) -> str:
@@ -274,7 +301,7 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {', '.join(sorted(unknown))}")
         return 2
     chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
-    files = tracked_files()
+    files = program_files()
     # a kill counts only if the same tests pass on the program itself
     for tests in dict.fromkeys(mutant.tests for mutant in chosen if not mutant.equivalent):
         code, detail = run(tests, files)

@@ -33,6 +33,7 @@ from dftkit import (
     preset,
 )
 from dftkit.cli import main
+from test_oracles import REAL_KINDS, real_input
 
 # sin ramp [0, 1, 0, -1]: bin 1 = -i*(n/2), bin 3 its conjugate, rest zero
 SIN4_TIME = np.array([0.0, 1.0, 0.0, -1.0])
@@ -329,23 +330,66 @@ class TestPadding:
     def test_refuses_a_signal_past_the_fast_limit_before_padding(self, monkeypatch):
         monkeypatch.setattr(dftkit.transform, "FFT_LIMIT", 1024)
         assert len(pad_to_pow2(Signal(np.ones(1000), 8000))) == 1024
+        assert len(fft(Signal(np.ones(1000), 8000), pad=True)) == 1024
         at_limit = Signal(np.ones(1024), 8000)
         assert pad_to_pow2(at_limit) is at_limit
-        assert len(fft(at_limit)) == 1024
+        assert len(fft(at_limit)) == len(fft(at_limit, pad=True)) == 1024
         signal = Signal(np.ones(1025), 8000)
         message = "^signal length 1025 exceeds the fast-path limit 1024$"
         tracemalloc.start()
         try:
             with pytest.raises(DspError, match=message):
                 pad_to_pow2(signal)
+            with pytest.raises(DspError, match=message):
+                fft(signal, pad=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2048 * 8  # the padded copy alone would take 16 KiB
+        assert peak < 2048 * 8  # the padded copy alone would take 16 KiB, fft's bins 32 KiB
         with pytest.raises(DspError, match=message):
             analyze(signal)
         with pytest.raises(DspError, match=message):
             equalize(signal, preset("treble"))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fft_pads_as_pad_to_pow2_does(self, monkeypatch, cpus):
+        # lengths 2**0 .. 2**20 and just above each power of two, every real input kind
+        monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+        for exponent in range(21):
+            n = 1 << exponent
+            for length in (n, n + 1, n + 3) if exponent < 20 else (n,):
+                for kind in REAL_KINDS:
+                    rng = np.random.default_rng([length, REAL_KINDS.index(kind)])
+                    signal = Signal(real_input(rng, length, kind), 8000)
+                    expected = fft(pad_to_pow2(signal)).bins
+                    assert fft(signal, pad=True).bins.tobytes() == expected.tobytes(), (length, kind)
+
+    def test_fft_pads_with_zeros_whatever_the_allocator_hands_back(self, monkeypatch):
+        # new arrays start as NaN here, so a padding tail left unwritten would show
+        empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            if array.dtype.kind in "fc":
+                array.fill(np.nan)
+            return array
+
+        monkeypatch.setattr(np, "empty", nan_filled)
+        for length in (3, 5, 1000, 2**16 + 1, 2**17 + 5000):
+            signal = Signal(np.random.default_rng(length).uniform(-1.0, 1.0, length), 8000)
+            padded = np.zeros(next_pow2(length))
+            padded[:length] = signal.samples
+            expected = fft(Signal(padded, 8000)).bins
+            assert fft(signal, pad=True).bins.tobytes() == expected.tobytes(), length
+
+    def test_fft_without_pad_keeps_its_messages(self, monkeypatch):
+        with pytest.raises(DspError, match=r"^length 1000 is not a power of two \(nearest are 512 and 1024\)"):
+            fft(Signal(np.ones(1000), 8000))
+        with pytest.raises(DspError, match="^length 1025 is not a power of two"):
+            fft(Signal(np.ones(1025), 8000), pad=False)
+        monkeypatch.setattr(dftkit.transform, "FFT_LIMIT", 1024)
+        with pytest.raises(DspError, match="^signal length 2048 exceeds the fast-path limit 1024$"):
+            fft(Signal(np.ones(2048), 8000))
 
     def test_padding_preserves_low_bins_scale(self):
         # zero padding refines the grid; bin 0 (the plain sum) is unchanged
@@ -467,6 +511,21 @@ class TestPipelineMemory:
 
     def test_analyze_in_place(self):
         assert self.peak_signals(analyze, 2**18 + 5000) <= 3.5
+
+    # fft pads into the lower half of its bins, and the magnitudes or the half gains are the
+    # only other large arrays beside them: analyze peaks at the bins and the magnitudes
+    # (2.5), equalize at the bins and the gains (2.5) or, on a power of two, the output (3)
+    def test_analyze_lets_the_spectrum_go_before_the_frequencies(self):
+        assert self.peak_signals(analyze, 2**18 + 5000) <= 2.75
+
+    @pytest.mark.parametrize("length", [2**17 + 1, 2**18 + 5000])
+    def test_equalize_pads_inside_the_spectrum(self, length):
+        assert self.peak_signals(lambda s: equalize(s, preset("treble")), length) <= 3.0
+
+    def test_equalize_merges_inside_the_free_upper_half(self):
+        # one span covers k = 1 .. n/4 at 2**16, so conj(X[m - k]) and the odd part took
+        # n/4 bins each (0.5 signals apiece) beside the bins before they went there
+        assert self.peak_signals(lambda s: equalize(s, preset("treble")), 2**16) < 3.506
 
     def test_fft_takes_its_block_buffers_from_its_bins(self):
         # the bins (2), but no block buffers of its own (0.5 on two threads), and warm,
@@ -697,21 +756,22 @@ class TestSteadyState:
     It keeps its gather index per block size, multiplies its short Pease
     stages by kept tiles and runs with numpy's buffer size at _ROW, so
     numpy allocates no iterator buffer; the caller's size is restored.
-    Without lent buffers, its block buffers are the head of its input.
+    Its block buffers are the head of its input, which the caller gives up.
     """
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("exponent", [10, 15, 16, 17])
     def test_a_warm_transform_into_lent_buffers(self, monkeypatch, cpus, exponent):
+        # the caller lends the output and gives its input up, as _rfft_array does
         transform = dftkit.transform
         monkeypatch.setattr(transform, "_CPUS", cpus)
         n = 1 << exponent
         values = np.random.default_rng(exponent).standard_normal(2 * n).view(np.complex128)
-        out, scratch = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
-        transform._fft_array(values, out, scratch)
+        out = np.empty(n, dtype=np.complex128)
+        transform._fft_array(values, out)
         tracemalloc.start()
         try:
-            transform._fft_array(values, out, scratch)
+            transform._fft_array(values, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
