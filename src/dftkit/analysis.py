@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, Spectrum, fft
+# fft is unused, but perfbench's tracer test asserts the binding until ROADMAP item 2's second slice
+from .transform import DspError, Signal, Spectrum, fft  # noqa: F401
+from .transform import _block_buffers, _fast_length, _require_finite, _rfft_array
 
 __all__ = [
     "A4_HZ",
@@ -194,13 +196,20 @@ def _note_fields(freqs: list[float]) -> list[tuple[str, float, float] | None]:
 def _analyze(
     signal: Signal, relative_threshold: float, min_separation_hz: float, pad: bool
 ) -> tuple[MagnitudeSpectrum, list[int], list[float], list[float], list]:
-    """The analyze pipeline: the spectrum, then the peaks' columns and note fields.
+    """The analyze pipeline: bins 0 .. n/2, then the peaks' columns and note fields.
 
-    The n-bin spectrum goes once its magnitudes are taken, before the frequencies are made.
+    The transform runs in n/2 + 1 bins and block buffers of its own, which go before the
+    magnitudes are taken; the bins go before the frequencies are made. Only bins 0 .. n/2
+    are checked to be finite, as fft's upper half would be their exact conjugate.
     """
-    spectrum = fft(signal, pad=pad)
-    n, magnitudes = len(spectrum), _magnitudes(spectrum)
-    del spectrum
+    n = _fast_length(len(signal), "signal", pad)
+    half = np.empty(n // 2 + 1, dtype=np.complex128)
+    blocks = np.empty(_block_buffers(n // 2), dtype=np.complex128)
+    _rfft_array(signal.samples, n, half, blocks)
+    del blocks
+    _require_finite(half, "spectrum bins")
+    magnitudes = np.abs(half)
+    del half
     mag = _with_frequencies(magnitudes, n, signal.sample_rate)
     bins, freqs, mags = _peak_columns(mag, relative_threshold, min_separation_hz)
     return mag, bins, freqs, mags, _note_fields(freqs)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft
+# fft is unused, but perfbench's tracer test asserts the binding until ROADMAP item 2's second slice
+from .transform import DspError, Signal, _as_positive_int, _ifft_array, fft  # noqa: F401
+from .transform import _fast_length, _require_finite, _rfft_array
 
 __all__ = [
     "Band",
@@ -113,15 +115,19 @@ def equalize(signal: Signal, profile: GainProfile) -> Signal:
     0 .. n/2 are scaled by their gains; the real inverse of that half
     spectrum is truncated back to the original length and clamped to
     [-1, 1]. The upper bins mirror the lower ones for a real signal, so
-    the output is real by construction. fft pads inside the spectrum,
-    and the inverse runs inside it too, so from fft to the clamp this
-    holds the input, one n-bin array and at most n/2 + 1 gains.
+    the output is real by construction, and they are never written: the
+    forward transform runs in the lower half of n bins with the upper
+    half lent as its block buffers, as in fft, and the inverse runs
+    inside the n bins too. So from the transform to the clamp this holds
+    the input, one n-bin array and at most n/2 + 1 gains.
     """
-    bins = fft(signal, pad=True).bins
-    half = bins[: bins.size // 2 + 1]
+    n = _fast_length(len(signal), "signal", pad=True)
+    bins = np.empty(n, dtype=np.complex128)
+    half = _rfft_array(signal.samples, n, bins, bins[n // 2 :])
+    _require_finite(half, "spectrum bins")  # the upper half would be their exact conjugate
     # an overflow is not warned of: the clamp takes an infinity to -1 or 1, Signal refuses a NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        half *= _half_gains(profile, bins.size, signal.sample_rate)
+        half *= _half_gains(profile, n, signal.sample_rate)
         samples = np.clip(_ifft_array(bins)[: len(signal)], -1.0, 1.0)
     return Signal(samples, signal.sample_rate)
 

@@ -25,13 +25,13 @@ fewer than _ROW twiddles read kept tiles, so a warm transform makes
 numpy copy through no buffer (see _fft_array).
 
 Each transform works inside the arrays it is given. The FFT's input is
-given up, and its head is the block buffers, so beyond a few small
-objects a warm FFT allocates only its result. A transform of more than
-one block first copies its samples into their blocks' slots in one
-transpose (see _load_blocks). With two CPUs it runs its two halves,
-then the two halves of its last stage's pairs, on the caller's thread
-and one helper, which meet at a barrier between the two (see
-_in_halves).
+given up, and its head is the block buffers, or it runs in place with
+buffers its caller lends, so beyond a few small objects a warm FFT
+allocates only its result. A transform of more than one block first
+copies its samples into their blocks' slots in one transpose (see
+_load_blocks). With two CPUs it runs its two halves, then the two
+halves of its last stage's pairs, on the caller's thread and one
+helper, which meet at a barrier between the two (see _in_halves).
 
 Real input takes half the work (Sorensen et al., IEEE TASSP 1987). With
 m = n/2, the samples are packed as m complex points z[j] = x[2j] +
@@ -47,11 +47,14 @@ computed. The inverse runs the same identities backwards.
 
 Both walk k = 1 .. n/4 in spans of _BLOCK/2 bins (see _spans), so their
 temporaries are span-sized rather than n/4 points. Up to 2^16 points
-there is one span. Both run in place in n bins: the forward pads the
-samples into their lower half, transforms Z into the upper half and
-splits it into the lower half, and the inverse merges into the lower
-half, with its span temporaries in the upper, and transforms that into
-the upper.
+there is one span. Both run in place. The forward packs the samples,
+zero-extended, straight into the blocks' order in bins 0 .. n/2 - 1,
+transforms Z there and splits it there pair by pair, with the block
+buffers and span temporaries lent by its caller: fft lends the upper
+half of its n bins and then fills it with the conjugates, equalize the
+same without the fill, and analyze buffers of its own beside n/2 + 1
+bins. The inverse merges into the lower half of n bins, with its span
+temporaries in the upper, and transforms that into the upper.
 
 Every complex product keeps its twiddle on the right, and never takes a
 fresh temporary on the right. numpy's complex multiply is not bitwise
@@ -113,13 +116,17 @@ def _as_positive_int(value, what: str) -> int:
     return coerced
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DspError(f"{what} must all be finite")
+
+
 def _check_fields(obj, what: str, unit: str, dtype) -> None:
     """Coerce and check a frozen Signal's or Spectrum's `unit`s array and sample rate."""
     values = np.asarray(getattr(obj, unit + "s"), dtype=dtype)
     if values.ndim != 1 or values.size == 0:
         raise DspError(f"{what} must be a 1-d sequence with at least one {unit}")
-    if not np.all(np.isfinite(values)):
-        raise DspError(f"{what} {unit}s must all be finite")
+    _require_finite(values, f"{what} {unit}s")
     object.__setattr__(obj, unit + "s", values)
     object.__setattr__(obj, "sample_rate", _as_positive_int(obj.sample_rate, "sample rate"))
 
@@ -342,19 +349,31 @@ def _transform(values, data, scratch, *, gather, tiles, ordered, roots) -> None:
     np.take(scratch, gather, out=data, mode="clip")  # "raise" would buffer the output
 
 
-def _load_blocks(values: np.ndarray, data: np.ndarray, nb: int) -> None:
-    """Block k of data gets values[rev(k) :: n/nb], rev reversing b = log2(n/nb) bits.
+def _load_blocks(samples: np.ndarray, data: np.ndarray, nb: int) -> None:
+    """data's m points get z[j] = x[2j] + i*x[2j+1], x the float64 samples zero-extended to 2m.
 
-    That is the order the halving leaves, and one transpose (Bailey, FFTs in External or
-    Hierarchical Memory, J. Supercomputing 4, 1990): data.reshape((2,)*b + (nb,)) is
-    values.reshape((nb,) + (2,)*b).T, copied _LOAD samples of every block at a time, so no
-    block reads its samples at a stride.
+    Block k gets z[rev(k) :: m/nb], rev reversing b = log2(m/nb) bits. That is the order
+    the halving leaves, and one transpose (Bailey, FFTs in External or Hierarchical Memory,
+    J. Supercomputing 4, 1990): data.reshape((2,)*b + (nb,)) is z.reshape((nb,) + (2,)*b).T,
+    copied _LOAD samples of every block at a time, so no block reads its samples at a
+    stride and no z is made. The samples end in one column of 2**b points, the zeros'
+    first: it is zeroed with the columns past it, then gets the pairs left and, for an odd
+    count, the last sample as a half pair.
     """
-    b = (values.size // nb).bit_length() - 1
-    source = values.reshape((nb,) + (2,) * b).T
+    b = (data.size // nb).bit_length() - 1
     target = data.reshape((2,) * b + (nb,))
-    for start in range(0, nb, _LOAD):
-        target[..., start : start + _LOAD] = source[..., start : start + _LOAD]
+    pairs = samples[: samples.size // 2 * 2].view(np.complex128)
+    full = pairs.size >> b  # the columns the samples fill
+    for start in range(0, full, _LOAD):
+        stop = min(start + _LOAD, full)
+        target[..., start:stop] = pairs[start << b : stop << b].reshape((-1,) + (2,) * b).T
+    if full < nb:
+        target[..., full:] = 0.0
+        column = target[..., full].T  # its flat index is the point's in z, less full << b
+        rest = pairs[full << b :]
+        column.flat[: rest.size] = rest
+        if samples.size % 2:
+            column.flat[rest.size] = samples[-1]
 
 
 def _in_halves(data: np.ndarray, scratch: np.ndarray, tables: dict) -> bool:
@@ -405,15 +424,27 @@ def _in_halves(data: np.ndarray, scratch: np.ndarray, tables: dict) -> bool:
 _GATHERS = {}  # nb -> _bit_reversal(nb), writeable (see _fft_array) and never handed out
 
 
-def _fft_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Radix-2 decimation-in-time FFT of a contiguous complex128 power-of-two array, into out.
+def _block_buffers(n: int) -> int:
+    """The points of block buffers an n-point _fft_array runs in: a block, or one per thread."""
+    nb = min(n, _BLOCK)
+    return 2 * nb if n > max(nb, 2) and _CPUS >= 2 else nb  # _BLOCK = 1: a 2-point last stage
 
-    The caller gives values up, and its head is the block buffers: the
-    blocks' load, or a single block's first copy, reads values in full
-    before any buffer is written. The transform is written to out and
-    returned: out belongs to the caller, a contiguous complex128 array of
-    the same size that does not overlap values; without it, to a new
-    array. A warm call allocates only a few small objects beyond out.
+
+def _fft_array(
+    values: np.ndarray, out: np.ndarray | None = None, *, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Radix-2 decimation-in-time FFT of a contiguous complex128 power-of-two array.
+
+    Without scratch, the caller gives values up, and its head is the block
+    buffers: the blocks' load, or a single block's first copy, reads
+    values in full before any buffer is written. The transform is written
+    to out and returned: out belongs to the caller, a contiguous
+    complex128 array of the same size that does not overlap values;
+    without it, to a new array. With scratch, values is already in block
+    order (see _load_blocks) and is transformed in place, and the block
+    buffers are the head of scratch, which the caller lends: at least
+    _block_buffers(n) points that overlap nothing else here. A warm call
+    allocates only a few small objects beyond out.
 
     Every butterfly is the one fixed sequence t = w*lower, upper + t,
     upper - t, with the same twiddle bits whatever the layout, so the
@@ -444,9 +475,11 @@ def _fft_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """
     n = values.size
     nb = min(n, _BLOCK)
-    split = n > max(nb, 2) and _CPUS >= 2  # _BLOCK = 1 leaves a 2-point last stage one pair
-    data = np.empty(n, dtype=np.complex128) if out is None else out
-    scratch = values[: 2 * nb if split else nb]
+    if scratch is None:
+        data, scratch = np.empty(n, dtype=np.complex128) if out is None else out, values
+    else:
+        data = values
+    scratch = scratch[: _block_buffers(n)]
     gather = _GATHERS.get(nb)
     if gather is None:
         gather = _GATHERS[nb] = _bit_reversal(nb)
@@ -455,10 +488,10 @@ def _fft_array(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     tables = {"gather": gather, "tiles": tiles, "ordered": ordered, "roots": roots}
     bufsize = np.setbufsize(_ROW)
     try:
-        if n > nb:
-            _load_blocks(values, data, nb)
+        if n > nb and values is not data:
+            _load_blocks(values.view(np.float64), data, nb)
             values = data
-        if not (split and _in_halves(data, scratch.reshape(2, nb), tables)):
+        if not (scratch.size > nb and _in_halves(data, scratch.reshape(2, nb), tables)):
             _transform(values, data, scratch[:nb], **tables)
     finally:
         np.setbufsize(bufsize)
@@ -517,44 +550,46 @@ def _twiddles(build, n: int) -> np.ndarray:
     return table[:: largest // n]
 
 
-def _rfft_array(samples: np.ndarray, n: int) -> np.ndarray:
-    """All n bins of a real signal zero-extended to n, a power of two, from one n/2-point FFT.
+def _rfft_array(samples: np.ndarray, n: int, bins: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Bins 0 .. n/2 of real samples zero-extended to n, a power of two, into bins[: n/2 + 1].
 
-    samples is only read. It is copied, with a zero tail, into the lower
-    half of a new array of n bins, seen as n floats: the packed samples,
-    which the n/2-point transform Z takes as its given-up input and block
-    buffers. Z runs into the upper half, and the split (module docstring)
-    writes bins 1 .. n/2 - 1 from it back into the lower half, so no
-    other array of more than a span is made.
-    Bins 0 and n/2 are real sums of Z[0], and bin n/2 lies on top of it.
-    The split walks k = 1 .. n/4 in spans of _BLOCK/2 bins, so its
-    temporaries are span-sized; bins n/2 - k are written for k < n/4
-    only, as k = n/4 is its own partner, X[k]. Last, the upper half is
-    overwritten with the exact conjugate of the lower, so the result is
-    Hermitian bit for bit.
+    samples is only read. bins and scratch belong to the caller: bins
+    holds at least n/2 + 1 points, and scratch, which lends the n/2-point
+    FFT its block buffers and the split its span temporaries, at least
+    _block_buffers(n/2); scratch may hold bin n/2, but no other of those
+    bins. Returns bins[: n/2 + 1].
+
+    The samples are packed straight into the blocks' order in bins[: n/2]
+    (see _load_blocks), where Z is transformed in place and split in
+    place: each span of k = 1 .. n/4 reads Z[k] and Z[m - k] into the
+    scratch before it writes X[k] and X[m - k] over them, and writes
+    bins m - k for k < n/4 only, as k = n/4 is its own partner, X[k].
+    Bins 0 and n/2 are real sums of Z[0], which no span reads; they come
+    last, bin n/2 first, after the FFT's and the spans' use of scratch.
+    An overflow is left to the caller to refuse, unwarned.
     """
     if n == 1:
-        return samples.astype(np.complex128)
+        bins[0] = samples[0]
+        return bins[:1]
     m = n // 2
-    bins = np.empty(n, dtype=np.complex128)
-    padded = bins[:m].view(np.float64)
-    padded[: samples.size] = samples
-    padded[samples.size :] = 0.0
-    packed = _fft_array(bins[:m], bins[m:])
-    bins[0] = packed[0].real + packed[0].imag
-    bins[m] = packed[0].real - packed[0].imag  # over Z[0], which no span reads
-    for span, partners, mirrors in _spans(n):
-        ahead = packed[span]  # Z[k]
-        behind = np.conj(packed[partners][::-1])  # conj(Z[m - k])
-        even = np.add(ahead, behind, out=bins[span])
-        even *= 0.5
-        odd = np.subtract(ahead, behind, out=behind)
-        odd *= _twiddles(_split_twiddles, n)[span]  # w^k * O[k]
-        mirror = np.subtract(even[:mirrors], odd[:mirrors], out=bins[partners][::-1][:mirrors])
-        np.conjugate(mirror, out=mirror)
-        even += odd
-    np.conjugate(bins[1:m][::-1], out=bins[m + 1 :])
-    return bins
+    packed = bins[:m]
+    _load_blocks(np.ascontiguousarray(samples), packed, min(m, _BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fft_array(packed, scratch=scratch)
+        for span, partners, mirrors in _spans(n):
+            ahead = packed[span]  # Z[k]
+            size = ahead.size  # at most _BLOCK / 2 and n/4, so both temporaries fit in scratch
+            behind = np.conjugate(packed[partners][::-1], out=scratch[:size])  # conj(Z[m - k])
+            odd = np.subtract(ahead, behind, out=scratch[size : 2 * size])
+            even = np.add(ahead, behind, out=ahead)
+            even *= 0.5
+            odd *= _twiddles(_split_twiddles, n)[span]  # w^k * O[k]
+            mirror = np.subtract(even[:mirrors], odd[:mirrors], out=bins[partners][::-1][:mirrors])
+            np.conjugate(mirror, out=mirror)
+            even += odd
+        bins[m] = bins[0].real - bins[0].imag
+        bins[0] = bins[0].real + bins[0].imag  # over Z[0]
+    return bins[: m + 1]
 
 
 def _spans(n: int) -> Iterator[tuple[slice, slice, int]]:
@@ -638,13 +673,16 @@ def fft(signal: Signal, *, pad: bool = False) -> Spectrum:
     With pad=True the signal is first zero-extended to the next power of
     two, as by pad_to_pow2 and under its limit and message, but inside
     the spectrum's own array, so no padded copy is made. The signal is
-    real, so it goes through one n/2-point FFT of packed sample pairs
-    (see _rfft_array); the spectrum is exactly Hermitian.
+    real, so bins 0 .. n/2 come from one n/2-point FFT of packed sample
+    pairs in the lower half, with the upper half lent as its block
+    buffers (see _rfft_array), and the upper half is then filled with
+    their exact conjugates: the spectrum is Hermitian bit for bit.
     """
     n = _fast_length(len(signal), "signal", pad)
-    with np.errstate(over="ignore", invalid="ignore"):  # Spectrum refuses an overflow, unwarned
-        bins = _rfft_array(signal.samples, n)
-    return Spectrum(bins=bins, sample_rate=signal.sample_rate)
+    bins = np.empty(n, dtype=np.complex128)
+    _rfft_array(signal.samples, n, bins, bins[n // 2 :])
+    np.conjugate(bins[1 : n // 2][::-1], out=bins[n // 2 + 1 :])
+    return Spectrum(bins=bins, sample_rate=signal.sample_rate)  # refuses an overflow
 
 
 def ifft(spectrum: Spectrum) -> Signal:

@@ -196,7 +196,7 @@ def write_wav(signal: Signal, path, bits_per_sample: int = 16) -> WavMeta:
     if byte_rate > 0xFFFFFFFF:  # the header stores it as a uint32
         raise DspError(f"sample rate {rate} Hz is too high for a {bits}-bit WAV")
     samples = signal.samples
-    if float(np.max(np.abs(samples))) > 1.0:
+    if samples.max() > 1.0 or samples.min() < -1.0:  # no |samples| copy; Signal keeps them finite
         raise DspError("samples exceed [-1, 1]; clamp or normalize before writing")
 
     fmt = struct.pack("<HHIIHH", code, channels, rate, byte_rate, block_align, bits)

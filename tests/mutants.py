@@ -33,6 +33,19 @@ import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def dispatch_targets() -> list[str]:
+    """The SIMD targets numpy dispatches to: offered, on this CPU, and not switched off."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1 names the package numpy.core
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
+TARGETS = dispatch_targets()
+AVX2 = bool({"X86_V3", "AVX2"} & set(TARGETS))  # numpy 2 and numpy 1 names of the AVX2 loops
 TIMEOUT_S = 120
 # pytest's exit code on a mutant -> verdict; 2 is an interrupted collection, None a hang
 VERDICTS = {0: "SURVIVED", 1: "killed", 2: "killed", None: "killed"}
@@ -53,6 +66,24 @@ UNITS = "tests/test_transform.py"
 LOOP = (ORACLES, "-k", "fft_array_matches_the_loop_version")  # the loop FFT, hypothesis inputs
 SPANS = (ORACLES, "-k", "split_in_small_spans")  # the real split and merge, byte for byte
 
+# the real split's texts, for the rows that move bin n/2
+FORWARD = "        _fft_array(packed, scratch=scratch)\n"
+SPLIT = """\
+        for span, partners, mirrors in _spans(n):
+            ahead = packed[span]  # Z[k]
+            size = ahead.size  # at most _BLOCK / 2 and n/4, so both temporaries fit in scratch
+            behind = np.conjugate(packed[partners][::-1], out=scratch[:size])  # conj(Z[m - k])
+            odd = np.subtract(ahead, behind, out=scratch[size : 2 * size])
+            even = np.add(ahead, behind, out=ahead)
+            even *= 0.5
+            odd *= _twiddles(_split_twiddles, n)[span]  # w^k * O[k]
+            mirror = np.subtract(even[:mirrors], odd[:mirrors], out=bins[partners][::-1][:mirrors])
+            np.conjugate(mirror, out=mirror)
+            even += odd
+"""
+NYQUIST = "        bins[m] = bins[0].real - bins[0].imag\n"
+ZERO = "        bins[0] = bins[0].real + bins[0].imag  # over Z[0]\n"
+
 MUTANTS = [
     # the butterflies' bits
     Mutant(
@@ -61,6 +92,8 @@ MUTANTS = [
         "        rows *= twiddles\n",
         "        for column, w in zip(rows.T, twiddles):\n            column *= w\n",
         LOOP,
+        equivalent="" if AVX2 else "without numpy's AVX2 loops the stride-0 complex multiply "
+        "gives the contiguous loop's bits",
     ),
     Mutant(
         "skip-w-1",  # the stage of width 2 would lose the signs of zeros
@@ -151,19 +184,40 @@ MUTANTS = [
         SPANS,
     ),
     Mutant(
-        "nyquist-bin-over-z0-first",  # bin n/2 lies on Z[0], which bin 0 still reads
+        "nyquist-bin-over-z0-first",  # bin n/2 is read from Z[0], which bin 0 overwrites
         TRANSFORM,
-        "    bins[0] = packed[0].real + packed[0].imag\n"
-        "    bins[m] = packed[0].real - packed[0].imag  # over Z[0], which no span reads\n",
-        "    bins[m] = packed[0].real - packed[0].imag  # over Z[0], which no span reads\n"
-        "    bins[0] = packed[0].real + packed[0].imag\n",
+        NYQUIST + ZERO,
+        ZERO + NYQUIST,
+        SPANS,
+    ),
+    Mutant(
+        "nyquist-bin-before-the-fft",  # over the block buffers, before Z[0] is made
+        TRANSFORM,
+        FORWARD + SPLIT + NYQUIST,
+        NYQUIST + FORWARD + SPLIT,
+        SPANS,
+    ),
+    Mutant(
+        "split-even-before-odd",  # the even part would overwrite Z[k] before odd reads it
+        TRANSFORM,
+        "            odd = np.subtract(ahead, behind, out=scratch[size : 2 * size])\n"
+        "            even = np.add(ahead, behind, out=ahead)\n",
+        "            even = np.add(ahead, behind, out=ahead)\n"
+        "            odd = np.subtract(ahead, behind, out=scratch[size : 2 * size])\n",
         SPANS,
     ),
     Mutant(
         "padding-tail-left-unzeroed",  # the tail would keep whatever the new bins held
         TRANSFORM,
-        "    padded[samples.size :] = 0.0\n",
+        "        target[..., full:] = 0.0\n",
         "",
+        (UNITS, "-k", "whatever_the_allocator_hands_back"),
+    ),
+    Mutant(
+        "packing-partial-column-unzeroed",  # the column the samples end in keeps its tail
+        TRANSFORM,
+        "        target[..., full:] = 0.0\n",
+        "        target[..., full + 1 :] = 0.0\n",
         (UNITS, "-k", "whatever_the_allocator_hands_back"),
     ),
     Mutant(
@@ -201,16 +255,23 @@ MUTANTS = [
     Mutant(
         "equalize-leaves-the-nyquist-bin",
         "src/dftkit/equalizer.py",
-        "    half = bins[: bins.size // 2 + 1]\n",
-        "    half = bins[: bins.size // 2]\n",
+        "        half *= _half_gains(profile, n, signal.sample_rate)\n",
+        "        half[:-1] *= _half_gains(profile, n, signal.sample_rate)[:-1]\n",
         (ORACLES, "-k", "equalize_matches_the_product_version"),
     ),
     Mutant(
-        "spectrum-kept-past-the-magnitudes",  # the n bins beside the magnitudes and frequencies
+        "spectrum-kept-past-the-magnitudes",  # n/2 + 1 bins beside the magnitudes and frequencies
         "src/dftkit/analysis.py",
-        "    del spectrum\n",
+        "    del half\n",
         "",
-        (UNITS, "-k", "lets_the_spectrum_go_before_the_frequencies"),
+        (UNITS, "-k", "runs_in_half_the_bins"),
+    ),
+    Mutant(
+        "analyze-keeps-its-block-buffers",  # up to 2 * _BLOCK points beside the magnitudes
+        "src/dftkit/analysis.py",
+        "    del blocks\n",
+        "",
+        (UNITS, "-k", "runs_in_half_the_bins"),
     ),
     # the input contracts
     Mutant(
@@ -301,6 +362,7 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {', '.join(sorted(unknown))}")
         return 2
     chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    print(f"numpy dispatch targets: {' '.join(TARGETS) or 'none (baseline loops)'}")
     files = program_files()
     # a kill counts only if the same tests pass on the program itself
     for tests in dict.fromkeys(mutant.tests for mutant in chosen if not mutant.equivalent):

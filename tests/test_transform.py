@@ -25,8 +25,11 @@ from dftkit import (
     dft_naive,
     equalize,
     fft,
+    find_peaks,
     idft_naive,
+    identify_note,
     ifft,
+    magnitude_spectrum,
     next_pow2,
     omega,
     pad_to_pow2,
@@ -353,8 +356,12 @@ class TestPadding:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_fft_pads_as_pad_to_pow2_does(self, monkeypatch, cpus):
-        # lengths 2**0 .. 2**20 and just above each power of two, every real input kind
-        monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+        # lengths 2**0 .. 2**20 and just above each power of two, every real input kind;
+        # the half-spectrum core in bins and buffers of its own, as analyze runs it, gives
+        # fft's bins 0 .. n/2, and analyze gives what fft, its magnitudes, find_peaks and
+        # identify_note give
+        transform = dftkit.transform
+        monkeypatch.setattr(transform, "_CPUS", cpus)
         for exponent in range(21):
             n = 1 << exponent
             for length in (n, n + 1, n + 3) if exponent < 20 else (n,):
@@ -362,10 +369,23 @@ class TestPadding:
                     rng = np.random.default_rng([length, REAL_KINDS.index(kind)])
                     signal = Signal(real_input(rng, length, kind), 8000)
                     expected = fft(pad_to_pow2(signal)).bins
-                    assert fft(signal, pad=True).bins.tobytes() == expected.tobytes(), (length, kind)
+                    bins = fft(signal, pad=True).bins
+                    assert bins.tobytes() == expected.tobytes(), (length, kind)
+                    size = next_pow2(length)
+                    half = np.empty(size // 2 + 1, dtype=np.complex128)
+                    blocks = np.empty(transform._block_buffers(size // 2), dtype=np.complex128)
+                    transform._rfft_array(signal.samples, size, half, blocks)
+                    assert half.tobytes() == bins[: size // 2 + 1].tobytes(), (length, kind)
+                    peaks = find_peaks(magnitude_spectrum(Spectrum(bins, 8000)))
+                    notes = [identify_note(p.frequency_hz) if p.bin_index else None for p in peaks]
+                    assert repr(analyze(signal)) == repr(list(zip(peaks, notes))), (length, kind)
 
     def test_fft_pads_with_zeros_whatever_the_allocator_hands_back(self, monkeypatch):
-        # new arrays start as NaN here, so a padding tail left unwritten would show
+        # new arrays start as NaN here, so a padding tail left unwritten would show: in fft,
+        # and in the half-spectrum core with bins and block buffers of its own, as analyze
+        # runs it. An odd length ends in half a packed point, and past one block the
+        # samples end inside one column of the blocks' order
+        transform = dftkit.transform
         empty = np.empty
 
         def nan_filled(*args, **kwargs):
@@ -374,13 +394,22 @@ class TestPadding:
                 array.fill(np.nan)
             return array
 
-        monkeypatch.setattr(np, "empty", nan_filled)
-        for length in (3, 5, 1000, 2**16 + 1, 2**17 + 5000):
+        lengths = (1, 2, 3, 5, 1000, 1001, 2**15 + 3, 2**16 + 1, 2**17 + 5000, 2**17 + 5001)
+        expected = {}
+        for length in lengths:
             signal = Signal(np.random.default_rng(length).uniform(-1.0, 1.0, length), 8000)
             padded = np.zeros(next_pow2(length))
             padded[:length] = signal.samples
-            expected = fft(Signal(padded, 8000)).bins
-            assert fft(signal, pad=True).bins.tobytes() == expected.tobytes(), length
+            expected[length] = signal, fft(Signal(padded, 8000)).bins, repr(analyze(signal))
+        monkeypatch.setattr(np, "empty", nan_filled)
+        for length, (signal, bins, peaks) in expected.items():
+            assert fft(signal, pad=True).bins.tobytes() == bins.tobytes(), length
+            n = bins.size
+            half = np.empty(n // 2 + 1, dtype=np.complex128)
+            blocks = np.empty(transform._block_buffers(n // 2), dtype=np.complex128)
+            transform._rfft_array(signal.samples, n, half, blocks)
+            assert half.tobytes() == bins[: n // 2 + 1].tobytes(), length
+            assert repr(analyze(signal)) == peaks, length
 
     def test_fft_without_pad_keeps_its_messages(self, monkeypatch):
         with pytest.raises(DspError, match=r"^length 1000 is not a power of two \(nearest are 512 and 1024\)"):
@@ -526,6 +555,18 @@ class TestPipelineMemory:
         # one span covers k = 1 .. n/4 at 2**16, so conj(X[m - k]) and the odd part took
         # n/4 bins each (0.5 signals apiece) beside the bins before they went there
         assert self.peak_signals(lambda s: equalize(s, preset("treble")), 2**16) < 3.506
+
+    # analyze transforms in n/2 + 1 bins (1) with block buffers of its own, at most
+    # 2 * _BLOCK points, which go before the magnitudes (0.5); at 2**16 the buffers are
+    # one block of 2**15 points (1) beside the bins
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("length", [2**17 + 1, 2**18 + 5000, 2**20 + 1])
+    def test_analyze_runs_in_half_the_bins(self, monkeypatch, cpus, length):
+        monkeypatch.setattr(dftkit.transform, "_CPUS", cpus)
+        assert self.peak_signals(analyze, length) <= 1.625
+
+    def test_analyze_runs_in_half_the_bins_of_one_block(self):
+        assert self.peak_signals(analyze, 2**16) <= 2.25
 
     def test_fft_takes_its_block_buffers_from_its_bins(self):
         # the bins (2), but no block buffers of its own (0.5 on two threads), and warm,

@@ -118,6 +118,11 @@ class TestEncoding:
         with pytest.raises(DspError, match="exceed"):
             write_wav(Signal([1.5], 8000), tmp_path / "x.wav")
 
+    def test_rejects_a_sample_below_minus_one(self, tmp_path):
+        # the only sample out of range is below the lower rail
+        with pytest.raises(DspError, match=r"^samples exceed \[-1, 1\]; clamp or normalize before writing$"):
+            write_wav(Signal([0.5, 1.0, -1.5, -1.0], 8000), tmp_path / "x.wav")
+
     def test_rejects_unsupported_depth(self, tmp_path):
         with pytest.raises(DspError, match="bit depth"):
             write_wav(Signal([0.0], 8000), tmp_path / "x.wav", bits_per_sample=24)
